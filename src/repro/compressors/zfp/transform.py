@@ -38,6 +38,13 @@ residues mod small powers of two, not on size):
 
 All functions operate on an int64 batch of shape ``(nblocks, 4, ..., 4)``
 and rely on numpy's arithmetic (sign-preserving) right shift.
+
+These functions are the reference.  The codec calls them through the
+``zfp.xform`` / ``zfp.xform_inverse`` kernels, whose native tier fuses
+the fixed-point conversion, these lifting steps, the sequency reorder
+and negabinary into one C loop per block (``repro_zfp_xform`` in
+:mod:`repro.kernels._csource`).  It emits the same bits, so the
+roundtrip bound above is unchanged.
 """
 
 from __future__ import annotations

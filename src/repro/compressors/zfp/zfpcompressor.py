@@ -121,6 +121,64 @@ def _encode_blocks_scalar(
     return body, nbits, offsets, used_bits
 
 
+def _xform_reference(
+    data: np.ndarray, planes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference tier of the ``zfp.xform`` kernel: the numpy pass chain.
+
+    Edge-padded 4^d blocks, per-block common exponent ``e`` (``amax <
+    2**e``), fixed point ``rint(ldexp(x, planes-2-e))``, forward lifting,
+    sequency reorder and negabinary.  Returns ``(u, e, nonzero)``: the
+    ``(nblocks, 4**ndim)`` uint64 negabinary coefficients, the int64
+    exponents (0 for all-zero blocks) and the nonzero-block flags.
+    """
+    ndim = data.ndim
+    blocks, _, _ = block_partition(data, (4,) * ndim, mode="edge")
+    nblocks = blocks.shape[0]
+    flat = blocks.reshape(nblocks, 4**ndim).astype(np.float64)
+
+    amax = np.abs(flat).max(axis=1)
+    if not np.isfinite(amax).all():
+        raise DataError("ZFP input must be finite (no NaN/Inf)")
+    nonzero = amax > 0
+    e = np.zeros(nblocks, dtype=np.int64)
+    _, e_nz = np.frexp(amax[nonzero])
+    e[nonzero] = e_nz  # amax < 2**e
+    scale_exp = (planes - 2) - e
+    ints = np.rint(np.ldexp(flat, scale_exp[:, None])).astype(np.int64)
+
+    coeffs = T.forward_transform(ints.reshape(blocks.shape))
+    ordered = coeffs.reshape(nblocks, 4**ndim)[:, T.sequency_order(ndim)]
+    return BC.int_to_negabinary(ordered), e, nonzero
+
+
+def _xform_inverse_reference(
+    u: np.ndarray,
+    e: np.ndarray,
+    nonzero: np.ndarray,
+    planes: int,
+    shape: tuple[int, ...],
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Reference tier of the ``zfp.xform_inverse`` kernel: undoes
+    :func:`_xform_reference` and crops the blocks back to ``shape``."""
+    ndim = len(shape)
+    nblocks = u.shape[0]
+    ordered = BC.negabinary_to_int(u)
+    inv_perm = T.inverse_sequency_order(ndim)
+    coeffs = ordered[:, inv_perm].reshape((nblocks,) + (4,) * ndim)
+    ints = T.inverse_transform(coeffs)
+    scale_exp = -((planes - 2) - e)
+    flat = np.ldexp(
+        ints.reshape(nblocks, 4**ndim).astype(np.float64), scale_exp[:, None]
+    )
+    flat[~nonzero] = 0.0
+
+    grid = tuple(-(-s // 4) for s in shape)
+    arr = block_reassemble(flat.reshape((nblocks,) + (4,) * ndim), grid, shape)
+    return arr.astype(dtype)
+
+
 class ZFPCompressor(Compressor):
     """Transform-based lossy compressor (ZFP family).
 
@@ -195,8 +253,6 @@ class ZFPCompressor(Compressor):
         data = np.asarray(data)
         check_dtype(data, [np.float32, np.float64], "data")
         check_shape_nd(data, (1, 2, 3), "data")
-        if not np.all(np.isfinite(data)):
-            raise DataError("ZFP input must be finite (no NaN/Inf)")
 
         size = 4**data.ndim
         planes = _PLANES[_DTYPE_CODES[data.dtype]]
@@ -221,25 +277,18 @@ class ZFPCompressor(Compressor):
             maxbits = 0
             parameter = float(tolerance)
 
+        from repro import kernels
+
         tm = get_telemetry()
         with tm.span("zfp.transform", bytes=data.nbytes):
-            blocks, grid, _ = block_partition(data, (4,) * data.ndim, mode="edge")
-            nblocks = blocks.shape[0]
-            flat = blocks.reshape(nblocks, size).astype(np.float64)
-
-            amax = np.abs(flat).max(axis=1)
-            nonzero = amax > 0
-            e = np.zeros(nblocks, dtype=np.int64)
-            _, e_nz = np.frexp(amax[nonzero])
-            e[nonzero] = e_nz  # amax < 2**e
-            scale_exp = (planes - 2) - e
-            ints = np.rint(np.ldexp(flat, scale_exp[:, None])).astype(np.int64)
-
-            coeffs = T.forward_transform(ints.reshape(blocks.shape))
-        with tm.span("zfp.reorder", bytes=data.nbytes):
-            perm = T.sequency_order(data.ndim)
-            ordered = coeffs.reshape(nblocks, size)[:, perm]
-            u = BC.int_to_negabinary(ordered)
+            u, e, nonzero = kernels.call(
+                "zfp.xform", data, planes, backend=self._backend
+            )
+        # zfp.xform also does the sequency reorder and negabinary; the
+        # stage span stays so every ZFP trace lists the same stages.
+        with tm.span("zfp.reorder", bytes=data.nbytes, fused="zfp.xform"):
+            pass
+        nblocks = u.shape[0]
 
         fixed_rate = mode is CompressorMode.FIXED_RATE
         if fixed_rate:
@@ -251,8 +300,6 @@ class ZFPCompressor(Compressor):
         else:
             budgets = np.full(nblocks, _UNBOUNDED, dtype=np.int64)
             kmins = _accuracy_kmin_array(parameter, e, planes, data.ndim)
-        from repro import kernels
-
         coder = kernels.resolve_name("zfp.encode", self._backend)
         with tm.span("zfp.bitplane", bytes=data.nbytes, nblocks=nblocks,
                      mode=mode.value, backend=coder,
@@ -319,13 +366,43 @@ class ZFPCompressor(Compressor):
         if mode_code not in _CODE_MODES:
             raise CorruptStreamError(f"unknown ZFP mode code {mode_code}")
         mode = _CODE_MODES[mode_code]
+        # Every header field is checked before anything is sized from it:
+        # a damaged stream must end in CorruptStreamError, never in a
+        # huge allocation or a native kernel handed nonsense lengths.
+        if dtype_code not in _DTYPES:
+            raise CorruptStreamError(f"unknown ZFP dtype code {dtype_code}")
         dtype = _DTYPES[dtype_code]
+        if ndim not in (1, 2, 3):
+            raise CorruptStreamError(f"ZFP stream ndim {ndim} not in 1..3")
+        if planes != _PLANES[dtype_code]:
+            raise CorruptStreamError(
+                f"ZFP stream planes {planes} invalid for {dtype} "
+                f"(expected {_PLANES[dtype_code]})"
+            )
         pos = hsize
+        if len(payload) < pos + 8 * ndim:
+            raise CorruptStreamError("ZFP stream truncated (shape)")
         shape = struct.unpack(f"<{ndim}Q", payload[pos : pos + 8 * ndim])
         pos += 8 * ndim
+        expected = math.prod(-(-s // 4) for s in shape)
+        if nblocks != expected:
+            raise CorruptStreamError(
+                f"ZFP stream declares {nblocks} blocks; shape {shape} "
+                f"has {expected}"
+            )
         size = 4**ndim
         header_bits = 1 + BC.EBITS
         fixed_rate = mode is CompressorMode.FIXED_RATE
+        if fixed_rate:
+            if maxbits <= header_bits:
+                raise CorruptStreamError(f"ZFP block size {maxbits} bits too small")
+            if (len(payload) - pos) * 8 < nblocks * maxbits:
+                raise CorruptStreamError("ZFP stream truncated (body)")
+        elif mode is CompressorMode.FIXED_PRECISION:
+            if not (math.isfinite(parameter) and 1 <= int(parameter) <= planes):
+                raise CorruptStreamError(f"ZFP precision {parameter} invalid")
+        elif not (math.isfinite(parameter) and parameter > 0):
+            raise CorruptStreamError(f"ZFP tolerance {parameter} invalid")
 
         if fixed_rate:
             offsets = np.arange(nblocks + 1, dtype=np.int64) * maxbits
@@ -335,6 +412,8 @@ class ZFPCompressor(Compressor):
             offsets = np.frombuffer(
                 payload[pos : pos + 8 * (nblocks + 1)], dtype=np.uint64
             ).astype(np.int64)
+            if offsets[0] != 0:
+                raise CorruptStreamError("ZFP offset table must start at 0")
             pos += 8 * (nblocks + 1)
 
         body = np.frombuffer(payload[pos:], dtype=np.uint8)
@@ -374,19 +453,14 @@ class ZFPCompressor(Compressor):
             )
             u = BC.words_matrix_to_coeffs(words_mat, size, backend=self._backend)
 
-        with tm.span("zfp.reorder", direction="decompress"):
-            ordered = BC.negabinary_to_int(u)
-            inv_perm = T.inverse_sequency_order(ndim)
-            coeffs = ordered[:, inv_perm].reshape((nblocks,) + (4,) * ndim)
+        with tm.span("zfp.reorder", direction="decompress",
+                     fused="zfp.xform_inverse"):
+            pass  # done inside zfp.xform_inverse, as in compress
         with tm.span("zfp.transform", direction="decompress"):
-            ints = T.inverse_transform(coeffs)
-            scale_exp = -((planes - 2) - e)
-            flat = np.ldexp(ints.reshape(nblocks, size).astype(np.float64), scale_exp[:, None])
-            flat[~nonzero] = 0.0
-
-            grid = tuple(-(-s // 4) for s in shape)
-            arr = block_reassemble(flat.reshape((nblocks,) + (4,) * ndim), grid, shape)
-        return arr.astype(dtype)
+            return kernels.call(
+                "zfp.xform_inverse", u, e, nonzero, planes, shape, dtype,
+                backend=self._backend,
+            )
 
     @staticmethod
     def _resolve_mode(

@@ -3,8 +3,8 @@
 The source is embedded as a string so the package needs no build step
 and no package-data plumbing: the first native-tier call compiles it
 with the system C compiler into a cached shared object (see
-``_cbuild.py``).  Every function transcribes the seed scalar reference
-loop for its kernel — bit-for-bit, including rounding (``rint`` under
+:mod:`repro.kernels.native`).  Every function transcribes the seed
+scalar reference loop for its kernel — bit-for-bit, including rounding (``rint`` under
 the default round-to-nearest-even mode matches ``np.rint``) and the
 exact group-testing control flow of the ZFP coder — so the parity
 matrix in ``tests/test_fastpath_equivalence.py`` holds by construction.
@@ -337,5 +337,186 @@ API void repro_zfp_decode_blocks(
             wb[k] = x;
         }
     }
+}
+
+/* ---------------- ZFP fused block transform ----------------
+ * One pass per 4^d block over a stack-resident 64-entry block:
+ * edge-clamped gather (block_partition(mode="edge")), block exponent
+ * (frexp of the block max), fixed point (rint(ldexp(x, planes-2-e))),
+ * forward lifting along every block axis (slowest axis first, as
+ * transform.forward_transform), sequency permutation and negabinary.
+ * The inverse undoes each step and scatters the cropped block straight
+ * into the output array.  The input is (n0, n1, n2) C-contiguous with
+ * unused leading dims 1; blocks extend 4 along the last `ndim` axes.
+ * Requires arithmetic right shift of negative int64 (native.probe
+ * checks it) and two's-complement wraparound (-fwrapv), which is what
+ * numpy's int64 arithmetic does. */
+static const uint64_t ZFP_NBMASK = 0xAAAAAAAAAAAAAAAAULL;
+
+static inline void zfp_fwd_lift(int64_t* p, int64_t s)
+{
+    int64_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
+    x += w; x >>= 1; w -= x;
+    z += y; z >>= 1; y -= z;
+    x += z; x >>= 1; z -= x;
+    w += y; w >>= 1; y -= w;
+    w += y >> 1; y -= w >> 1;
+    p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
+}
+
+static inline void zfp_inv_lift(int64_t* p, int64_t s)
+{
+    int64_t x = p[0], y = p[s], z = p[2 * s], w = p[3 * s];
+    y += w >> 1; w -= y >> 1;
+    y += w; w *= 2; w -= y;
+    z += x; x *= 2; x -= z;
+    y += z; z *= 2; z -= y;
+    w += x; x *= 2; x -= w;
+    p[0] = x; p[s] = y; p[2 * s] = z; p[3 * s] = w;
+}
+
+/* Lifts every line of a 4^ndim block along each axis; forward goes
+ * axis 0 (stride 4^(ndim-1)) -> ndim-1 (stride 1), inverse the reverse. */
+static inline void zfp_lift_block(int64_t* q, int64_t ndim, int inverse)
+{
+    const int64_t size = (int64_t)1 << (2 * ndim);
+    for (int64_t step = 0; step < ndim; step++) {
+        const int64_t a = inverse ? ndim - 1 - step : step;
+        const int64_t stride = (int64_t)1 << (2 * (ndim - 1 - a));
+        for (int64_t hi = 0; hi < size; hi += 4 * stride)
+            for (int64_t lo = 0; lo < stride; lo++) {
+                if (inverse) zfp_inv_lift(q + hi + lo, stride);
+                else zfp_fwd_lift(q + hi + lo, stride);
+            }
+    }
+}
+
+static inline int64_t zfp_min(int64_t a, int64_t b) { return a < b ? a : b; }
+
+/* x * 2^s, bit-identical to ldexp: multiplying by an exact power of two
+ * is one correctly rounded operation, just as ldexp is.  The library
+ * call only runs when 2^s itself is not a normal double. */
+static inline double zfp_scale(double x, double pow2, int s)
+{
+    return (s >= -1022 && s <= 1023) ? x * pow2 : ldexp(x, s);
+}
+
+/* rint for |x| < 2^52 under round-to-nearest-even: adding and removing
+ * 2^52 leaves exactly the rounded magnitude, and rounding half to even
+ * is symmetric in the sign (branch-free: signs of data are random). */
+static inline int64_t zfp_rint(double x)
+{
+    const double big = 4503599627370496.0; /* 2^52 */
+    return (int64_t)copysign((fabs(x) + big) - big, x);
+}
+
+/* Returns the number of blocks holding a non-finite value (their
+ * outputs are zeroed); 0 on success. */
+API int64_t repro_zfp_xform(
+    const void* data, int64_t is_f64, int64_t ndim,
+    int64_t n0, int64_t n1, int64_t n2, int64_t planes,
+    const int64_t* perm, int64_t nblocks,
+    uint64_t* u, int64_t* e_out, uint8_t* nonzero)
+{
+    const int64_t b0 = ndim >= 3 ? 4 : 1, b1 = ndim >= 2 ? 4 : 1;
+    const int64_t g1 = (n1 + b1 - 1) / b1, g2 = (n2 + 3) / 4;
+    const int64_t size = b0 * b1 * 4;
+    const float* f32 = (const float*)data;
+    const double* f64 = (const double*)data;
+    int64_t bad = 0;
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int64_t gi = b / (g1 * g2), gj = (b / g2) % g1, gk = b % g2;
+        double f[64];
+        int64_t q[64];
+        int64_t idx = 0;
+        double amax = 0.0;
+        int finite = 1;
+        for (int64_t i = 0; i < b0; i++) {
+            const int64_t ii = zfp_min(gi * b0 + i, n0 - 1);
+            for (int64_t j = 0; j < b1; j++) {
+                const int64_t row = (ii * n1 + zfp_min(gj * b1 + j, n1 - 1)) * n2;
+                for (int64_t k = 0; k < 4; k++) {
+                    const int64_t at = row + zfp_min(gk * 4 + k, n2 - 1);
+                    f[idx + k] = is_f64 ? f64[at] : (double)f32[at];
+                }
+                for (int64_t k = 0; k < 4; k++, idx++) {
+                    const double a = fabs(f[idx]);
+                    finite &= a <= 1.7976931348623157e308;
+                    amax = a > amax ? a : amax;
+                }
+            }
+        }
+        uint64_t* ub = u + b * size;
+        bad += !finite;
+        if (!finite || amax == 0.0) {
+            e_out[b] = 0;
+            nonzero[b] = 0;
+            for (int64_t i = 0; i < size; i++) ub[i] = 0;
+            continue;
+        }
+        int ex;
+        frexp(amax, &ex);
+        e_out[b] = ex;
+        nonzero[b] = 1;
+        const int scale = (int)(planes - 2) - ex;
+        const double pow2 = ldexp(1.0, scale);
+        /* |f| * 2^scale < 2^(planes-2) <= 2^50: zfp_rint's range. */
+        for (int64_t i = 0; i < size; i++)
+            q[i] = zfp_rint(zfp_scale(f[i], pow2, scale));
+        zfp_lift_block(q, ndim, 0);
+        for (int64_t i = 0; i < size; i++)
+            ub[i] = ((uint64_t)q[perm[i]] + ZFP_NBMASK) ^ ZFP_NBMASK;
+    }
+    return bad;
+}
+
+API void repro_zfp_xform_inverse(
+    const uint64_t* u, const int64_t* e, const uint8_t* nonzero,
+    int64_t nblocks, int64_t ndim, int64_t n0, int64_t n1, int64_t n2,
+    int64_t planes, const int64_t* perm, int64_t is_f64, void* out)
+{
+    const int64_t b0 = ndim >= 3 ? 4 : 1, b1 = ndim >= 2 ? 4 : 1;
+    const int64_t g1 = (n1 + b1 - 1) / b1, g2 = (n2 + 3) / 4;
+    const int64_t size = b0 * b1 * 4;
+    float* o32 = (float*)out;
+    double* o64 = (double*)out;
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int64_t gi = b / (g1 * g2), gj = (b / g2) % g1, gk = b % g2;
+        const uint64_t* ub = u + b * size;
+        int64_t q[64];
+        for (int64_t i = 0; i < size; i++)
+            q[perm[i]] = (int64_t)((ub[i] ^ ZFP_NBMASK) - ZFP_NBMASK);
+        zfp_lift_block(q, ndim, 1);
+        /* e comes from a 12-bit stream field; clamp anyway so the int
+         * conversion is defined for any caller (ldexp saturates long
+         * before the clamp matters). */
+        int64_t s = e[b] - (planes - 2);
+        if (s > 100000) s = 100000;
+        if (s < -100000) s = -100000;
+        const double pow2 = ldexp(1.0, (int)s);
+        int64_t idx = 0;
+        for (int64_t i = 0; i < b0; i++) {
+            const int64_t ii = gi * b0 + i;
+            for (int64_t j = 0; j < b1; j++) {
+                const int64_t jj = gj * b1 + j;
+                for (int64_t k = 0; k < 4; k++, idx++) {
+                    const int64_t kk = gk * 4 + k;
+                    if (ii >= n0 || jj >= n1 || kk >= n2) continue;
+                    const double v = nonzero[b]
+                        ? zfp_scale((double)q[idx], pow2, (int)s) : 0.0;
+                    const int64_t at = (ii * n1 + jj) * n2 + kk;
+                    if (is_f64) o64[at] = v;
+                    else o32[at] = (float)v;
+                }
+            }
+        }
+    }
+}
+
+/* Probe: native.py checks that -3 >> 1 == -2, i.e. that >> on a
+ * negative int64 is arithmetic, which the lifting steps rely on. */
+API int64_t repro_probe_asr(int64_t x)
+{
+    return x >> 1;
 }
 """

@@ -25,6 +25,14 @@ Kernel catalogue (uniform signatures across tiers):
                         maxbits=0) -> (body, nbits, offsets, used_bits)``
 ``zfp.decode``          ``(bits, offsets, nonzero, planes, size, budgets,
                         kmins) -> words``
+``zfp.xform``           ``(data, planes) -> (u, e, nonzero)`` — fused block
+                        transform of a 1-3-D float32/float64 array:
+                        edge-clamped 4^d blocks, block exponent, fixed
+                        point, forward lifting, sequency reorder and
+                        negabinary in one pass per block
+``zfp.xform_inverse``   ``(u, e, nonzero, planes, shape, dtype) -> array``
+                        — the reverse, written straight into the cropped
+                        output of the stream's dtype
 ======================  =====================================================
 
 A tier may omit kernels (``native`` has no package-merge: length
@@ -50,6 +58,9 @@ SCALAR_IMPLS = {
         "repro.compressors.zfp.blockcodec:_words_matrix_scalar",
     "zfp.encode": "repro.compressors.zfp.zfpcompressor:_encode_blocks_scalar",
     "zfp.decode": "repro.compressors.zfp.blockcodec:_decode_blocks_scalar",
+    "zfp.xform": "repro.compressors.zfp.zfpcompressor:_xform_reference",
+    "zfp.xform_inverse":
+        "repro.compressors.zfp.zfpcompressor:_xform_inverse_reference",
 }
 
 NUMPY_IMPLS = {
@@ -67,6 +78,11 @@ NUMPY_IMPLS = {
         "repro.compressors.zfp.blockcodec:_words_matrix_numpy",
     "zfp.encode": "repro.compressors.zfp.batch:encode_blocks",
     "zfp.decode": "repro.compressors.zfp.batch:decode_blocks",
+    # The block transform was already numpy passes; like the Lorenzo
+    # kernels, the scalar and numpy tiers share that implementation.
+    "zfp.xform": "repro.compressors.zfp.zfpcompressor:_xform_reference",
+    "zfp.xform_inverse":
+        "repro.compressors.zfp.zfpcompressor:_xform_inverse_reference",
 }
 
 NATIVE_IMPLS = {
@@ -79,6 +95,8 @@ NATIVE_IMPLS = {
     "zfp.transpose_inverse": "repro.kernels.native:zfp_words_to_coeffs",
     "zfp.encode": "repro.kernels.native:zfp_encode_blocks",
     "zfp.decode": "repro.kernels.native:zfp_decode_blocks",
+    "zfp.xform": "repro.kernels.native:zfp_xform",
+    "zfp.xform_inverse": "repro.kernels.native:zfp_xform_inverse",
 }
 
 

@@ -13,10 +13,9 @@ implementations:
     The vectorized batch kernels (PR 2).  Always available; byte-exact
     with ``scalar``.
 ``native``
-    Compiled kernels (:mod:`repro.kernels.native`): numba ``@njit`` when
-    numba is importable, otherwise a small C library compiled on demand
-    with the system C compiler and called through ``ctypes``.  Optional;
-    byte-exact with ``scalar``.
+    Compiled kernels (:mod:`repro.kernels.native`): a small C library
+    compiled on demand with the system C compiler and called through
+    ``ctypes``.  Optional; byte-exact with ``scalar``.
 
 The registry resolves, per kernel, which implementation actually runs:
 

@@ -401,6 +401,80 @@ class TestBackendParityMatrix:
         )
 
 
+class TestXformParity:
+    """The fused ZFP block transform pair (``zfp.xform`` /
+    ``zfp.xform_inverse``) on every tier, bit for bit against ``scalar``.
+
+    Kept beside :class:`TestBackendParityMatrix`, whose frozen
+    adversarial-block digest already pins the whole-stream bytes.
+    """
+
+    @staticmethod
+    def _assert_tier_matches_scalar(backend, data):
+        planes = 32 if data.dtype == np.float32 else 52
+        ref = kernels.call("zfp.xform", data, planes, backend="scalar")
+        got = kernels.call("zfp.xform", data, planes, backend=backend)
+        for r, g in zip(ref, got):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert np.array_equal(g, r)
+        args = (planes, data.shape, data.dtype)
+        rec_ref = kernels.call("zfp.xform_inverse", *ref, *args,
+                               backend="scalar")
+        rec = kernels.call("zfp.xform_inverse", *got, *args, backend=backend)
+        assert rec.dtype == data.dtype and rec.shape == data.shape
+        assert rec.tobytes() == rec_ref.tobytes()
+        return ref, rec
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (16,), (13,), (8, 12), (7, 10), (8, 8, 4), (5, 9, 6),
+    ])
+    def test_roundtrip_matches_scalar(self, backend, dtype, shape):
+        data = _field(shape, dtype, seed=len(shape) * 31 + shape[-1])
+        data[(slice(0, 4),) * len(shape)] = 0.0  # an all-zero first block
+        ref, _ = self._assert_tier_matches_scalar(backend, data)
+        assert not ref[2].all() and ref[2].any()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_block_maxima(self, backend, dtype):
+        info = np.finfo(dtype)
+        data = np.zeros((4, 4, 12), dtype=dtype)
+        ramp = np.linspace(-1, 1, 64, dtype=dtype).reshape(4, 4, 4)
+        data[:, :, 0:4] = info.smallest_subnormal * np.arange(-8, 8).reshape(4, 4, 1)
+        data[:, :, 4:8] = info.max * ramp
+        data[0, 0, 8] = -info.max
+        data[1, 2, 9] = info.tiny  # smallest normal next to zeros
+        # Near the float max the reconstruction may round past it to
+        # inf; it must do so identically on every tier.
+        ref, _ = self._assert_tier_matches_scalar(backend, data)
+        assert ref[2].all()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nonfinite_rejected(self, backend):
+        from repro.errors import DataError
+
+        data = np.ones((5, 6), dtype=np.float32)
+        data[4, 5] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            kernels.call("zfp.xform", data, 32, backend=backend)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_adversarial_lifting_block(self, backend):
+        """The pinned E_3 worst case of the lifting round trip, taken
+        through fixed point and back: with a block max in [2^49, 2^50)
+        and 52 planes the fixed-point lattice is the integers, so the
+        round-trip error is the lifting error itself — 30, within the
+        documented bound of 40."""
+        from test_property_based import E3_ADVERSARIAL_BLOCK
+
+        data = (E3_ADVERSARIAL_BLOCK[0] + (1 << 49)).astype(np.float64)
+        ref, rec = self._assert_tier_matches_scalar(backend, data)
+        assert ref[1][0] == 50  # amax < 2**50: scale 2^(planes-2-e) = 1
+        assert np.abs(rec - data).max() == 30
+
+
 class TestPackEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grouped_pack_matches_ragged(self, scalar_mode, seed):

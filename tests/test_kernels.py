@@ -169,16 +169,21 @@ class TestFallback:
 
 
 class TestNativeTier:
-    def test_flavor_env_validated(self, monkeypatch):
+    def test_logical_right_shift_degrades(self, monkeypatch):
         from repro.kernels import native
 
-        monkeypatch.setenv(native.FLAVOR_ENV, "fortran")
+        class LogicalShiftLib:
+            @staticmethod
+            def repro_probe_asr(x):
+                return (x % (1 << 64)) >> 1  # what a logical shift gives
+
+        monkeypatch.setattr(native, "_build_clib", LogicalShiftLib)
         native.reset()
         try:
-            with pytest.raises(ConfigError, match="REPRO_NATIVE_FLAVOR"):
+            with pytest.raises(KernelUnavailableError, match="arithmetic"):
                 native.probe()
         finally:
-            monkeypatch.delenv(native.FLAVOR_ENV, raising=False)
+            monkeypatch.undo()
             native.reset()
 
     def test_probe_is_memoized(self):
@@ -188,7 +193,7 @@ class TestNativeTier:
             native.probe()
         except KernelUnavailableError:
             pytest.skip("native tier unavailable here")
-        assert native.flavor() in ("numba", "cc")
+        assert native._lib() is native._lib()
 
 
 class TestTelemetryExport:

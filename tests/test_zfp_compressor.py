@@ -109,6 +109,36 @@ class TestValidation:
         with pytest.raises(CorruptStreamError):
             zfp.decompress(buf.payload[: len(buf.payload) // 2])
 
+    @pytest.mark.parametrize("field,value", [
+        ("dtype", 9),             # unknown dtype code
+        ("ndim", 0),
+        ("ndim", 4),
+        ("planes", 0),
+        ("planes", 70),
+        ("nblocks", 17),          # 10x9x7 has 3*3*2 = 18 blocks
+        ("nblocks", 1 << 40),     # would size an 8 TiB offset table
+        ("maxbits", 0),           # fixed-rate block smaller than its header
+        ("parameter", 99.0),      # precision above the plane count
+    ])
+    def test_mutated_header_field_raises(self, zfp, field, value):
+        import struct
+
+        from repro.compressors.zfp.zfpcompressor import _HDR
+
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((10, 9, 7)).astype(np.float32)
+        mode = "fixed_precision" if field == "parameter" else "fixed_rate"
+        kwargs = {"precision": 12} if field == "parameter" else {"rate": 8.0}
+        payload = zfp.compress(data, mode=mode, **kwargs).payload
+        hsize = struct.calcsize(_HDR)
+        names = ("magic", "version", "dtype", "ndim", "planes", "maxbits",
+                 "nblocks", "mode", "parameter")
+        header = dict(zip(names, struct.unpack(_HDR, payload[:hsize])))
+        header[field] = value
+        mutated = struct.pack(_HDR, *header.values()) + payload[hsize:]
+        with pytest.raises(CorruptStreamError):
+            zfp.decompress(mutated)
+
 
 class TestCuZFP:
     def test_same_streams_as_zfp(self, smooth_field3d):
