@@ -4,7 +4,7 @@ Headline measurement: a 4-point ZFP sweep plus a 4-point SZ sweep over a
 64^3 Nyx dark-matter-density field, run both ways —
 
 * **seed path**: scalar per-block/per-symbol codec loops
-  (``REPRO_SCALAR_CODECS=1``), serial, no cache — the implementation the
+  (``REPRO_BACKEND=scalar``), serial, no cache — the implementation the
   seed repo shipped;
 * **fast path**: batched numpy kernels, ``workers=0`` (one worker
   process per CPU; on a single-CPU host the executor falls back to the
@@ -76,11 +76,15 @@ def test_fastpath_speedup_vs_seed(benchmark):
     field = _field_64()
     assert "REPRO_CACHE_DIR" not in os.environ or not os.environ["REPRO_CACHE_DIR"]
 
-    os.environ["REPRO_SCALAR_CODECS"] = "1"
+    previous = os.environ.get("REPRO_BACKEND")
+    os.environ["REPRO_BACKEND"] = "scalar"
     try:
         seed_seconds, seed_records = _best_of(lambda: _sweep_once(field, workers=1))
     finally:
-        del os.environ["REPRO_SCALAR_CODECS"]
+        if previous is None:
+            del os.environ["REPRO_BACKEND"]
+        else:
+            os.environ["REPRO_BACKEND"] = previous
 
     t0 = time.perf_counter()
     benchmark.pedantic(_sweep_once, args=(field, 0), rounds=1, iterations=1)

@@ -194,11 +194,7 @@ class ZFPCompressor(Compressor):
     :mod:`repro.compressors.zfp.batch`, or the compiled native tier.
     All tiers produce **byte-identical** streams.  ``backend`` pins a
     tier for this instance; ``None`` defers to the process selection
-    (``REPRO_BACKEND`` / :func:`repro.kernels.use`).  ``batched`` is the
-    legacy knob: ``False`` forces the scalar tier, ``True`` forces a
-    vectorized tier (``auto`` resolution, ignoring a ``scalar``
-    environment selection) — the switch ``benchmarks/bench_fastpath.py``
-    uses to measure the seed path.
+    (``REPRO_BACKEND`` / :func:`repro.kernels.use`).
     """
 
     name = "zfp"
@@ -208,29 +204,8 @@ class ZFPCompressor(Compressor):
         CompressorMode.FIXED_ACCURACY,
     )
 
-    def __init__(
-        self, batched: bool | None = None, backend: str | None = None
-    ) -> None:
-        if batched is None:
-            self._backend = backend
-        elif batched:
-            self._backend = backend if backend is not None else "auto"
-        else:
-            self._backend = "scalar"
-
-    @property
-    def batched(self) -> bool:
-        """Whether the resolved bit-plane coder is a vectorized tier."""
-        from repro import kernels
-
-        return kernels.resolve_name("zfp.encode", self._backend) != "scalar"
-
-    @batched.setter
-    def batched(self, value: bool | None) -> None:
-        if value is None:
-            self._backend = None
-        else:
-            self._backend = "auto" if value else "scalar"
+    def __init__(self, backend: str | None = None) -> None:
+        self._backend = backend
 
     @property
     def backend(self) -> str:

@@ -28,10 +28,6 @@ The registry resolves, per kernel, which implementation actually runs:
    :class:`~repro.errors.ReproError` data/stream error) is tripped for
    that kernel and the call transparently re-dispatches one tier down —
    daemons keep serving, only slower.
-
-``REPRO_SCALAR_CODECS=1`` remains supported as a deprecated alias for
-``REPRO_BACKEND=scalar`` so existing scripts and benchmarks keep
-working unchanged.
 """
 
 from __future__ import annotations
@@ -48,16 +44,12 @@ from repro.telemetry import get_telemetry
 #: Environment variable selecting the backend tier (or ``auto``).
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Deprecated alias: truthy values mean ``REPRO_BACKEND=scalar``.
-LEGACY_SCALAR_ENV = "REPRO_SCALAR_CODECS"
-
 #: Tier preference for ``auto`` resolution, best first.
 TIER_ORDER = ("native", "numpy", "scalar")
 
 #: Numeric tier levels for the ``kernels.backend{stage=...}`` gauge.
 TIER_LEVEL = {"scalar": 0, "numpy": 1, "native": 2}
 
-_TRUTHY = ("1", "true", "yes", "on")
 
 
 @dataclass
@@ -161,9 +153,6 @@ class KernelRegistry:
                     f"{TIER_ORDER + ('auto',)}, got {raw!r}"
                 )
             return raw
-        legacy = os.environ.get(LEGACY_SCALAR_ENV, "").strip().lower()
-        if legacy in _TRUTHY:
-            return "scalar"
         return "auto"
 
     def set_backend(self, backend: str | None) -> None:

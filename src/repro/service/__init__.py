@@ -13,8 +13,8 @@ process start-up and codec warm-up per field.
 * :mod:`repro.service.server` — the asyncio TCP daemon:
   COMPRESS/DECOMPRESS/SWEEP/LIST/HEALTH/STATS, graceful drain on
   SIGTERM, telemetry-backed STATS; :class:`ServiceThread` embeds it.
-* :mod:`repro.service.client` — the blocking :class:`ServiceClient`
-  with connect/busy retry (jittered backoff) and per-call deadlines.
+* :mod:`repro.service.client` — one pipelined client core (blocking
+  :class:`ServiceClient`, futures :class:`PooledClient`) with retries.
 * :mod:`repro.service.cluster` — the multi-node fabric: a
   :class:`ClusterRouter` front-end spreading requests over N daemon
   shards by consistent hash (:mod:`repro.service.ring`), with

@@ -55,7 +55,6 @@ from repro.parallel.executor import process_map, resolve_workers
 from repro.parallel.shm import (
     ShmDescriptor,
     SharedArray,
-    attach_cached,
     attached_view,
     shm_enabled,
 )
@@ -131,12 +130,6 @@ class PendingRequest:
 
 
 # -- module-level (picklable) batch workers ----------------------------------
-
-
-def _materialize(arr: np.ndarray | ShmDescriptor) -> np.ndarray:
-    if isinstance(arr, ShmDescriptor):
-        return attach_cached(arr)
-    return arr
 
 
 @contextmanager

@@ -1,51 +1,49 @@
-"""Synchronous client for the compression daemon.
+"""Clients for the compression daemon.
 
-:class:`ServiceClient` is the in-situ caller's view of the service: a
-blocking socket speaking MSG1 frames, with the operational edges a
-simulation loop needs handled inside —
+One client core speaks MSG1 over pipelined connections: each request
+carries a per-connection ``id``, frames go out under a send lock, and a
+reader thread per connection completes futures as replies arrive, in
+any order.  :class:`ServiceClient` is its blocking front end (one
+connection; every method submits and waits), :class:`PooledClient`
+keeps N requests in flight over M connections behind a futures API.
+The core handles the edges a simulation loop needs —
 
 * **connect retry**: the daemon may still be binding when the client
   starts; connection attempts back off within ``connect_timeout_s``;
 * **backpressure retry**: a ``busy`` reply (admission queue full) is
-  retried with capped exponential backoff *plus jitter* (decorrelating
-  a fleet of clients that would otherwise retry in lockstep), honoring
-  the server's ``retry_after_ms`` hint, up to ``busy_retries`` times
-  before :class:`~repro.errors.ServiceBusyError`;
-* **timeouts**: ``request_timeout_s`` bounds each socket wait;
-  ``timeout_ms`` per call becomes the server-side queue deadline;
-* **zero-copy payload handoff**: against a same-host daemon that
-  negotiates the ``shm`` capability (one HELLO round trip on the first
-  bulk call), large request payloads travel as pooled shared-memory
-  segments and bulk replies come back through a client-owned scratch
-  segment — the TCP stream then carries only headers.  Fallback to
-  inline bytes is transparent: remote hosts, small arrays,
+  retried with capped exponential backoff *plus jitter*, honoring the
+  server's ``retry_after_ms`` hint, up to ``busy_retries`` times before
+  :class:`~repro.errors.ServiceBusyError`.  The wait runs off the
+  reader thread, so it never stalls other replies.  Connect and busy
+  retries share :func:`repro.util.backoff.backoff_delay` with the
+  cluster router's re-probe, so the whole fleet jitters the same way;
+* **timeouts**: ``request_timeout_s`` bounds each socket wait (a server
+  silent that long with requests outstanding fails the connection and
+  every call on it); ``timeout_ms`` per call becomes the server-side
+  queue deadline;
+* **zero-copy payload handoff**: every connection opens with one HELLO
+  that negotiates capabilities.  Against a same-host daemon that grants
+  ``shm``, large payloads travel as pooled shared-memory segments and
+  bulk replies come back through a client-owned scratch segment.
+  Fallback to inline bytes is transparent: remote hosts, small arrays,
   ``REPRO_NO_SHM=1``, pre-capability servers, and any per-request shm
-  error (the client retries the call inline and stops offering
-  segments).  Replies are byte-identical either way.  All segments are
-  owned by the client — published once, reused across calls
-  (:class:`repro.parallel.shm.SegmentPool`), unlinked on
-  :meth:`~ServiceClient.close`; a crashed client's are reclaimed by its
+  error (the call is resent inline and the client stops offering
+  segments).  Replies are byte-identical either way.  Segments are
+  reused across calls (:class:`repro.parallel.shm.SegmentPool`) and
+  unlinked on ``close()``; a crashed client's are reclaimed by its
   ``multiprocessing`` resource tracker;
-* **distributed tracing**: when telemetry is enabled in the client
-  process (or a :mod:`repro.telemetry.context` trace is already
-  active), every call runs inside a ``client.<op>`` span — busy
-  retries get nested ``client.busy_wait`` spans — and the active
+* **distributed tracing** (blocking calls): with telemetry enabled (or
+  a :mod:`repro.telemetry.context` trace active), every
+  :class:`ServiceClient` call runs inside a ``client.<op>`` span, busy
+  retries add ``client.busy_wait`` spans to the same trace, and the
   context travels in the MSG1 header's optional ``trace`` field, so
-  the daemon's queue/batch/worker spans stitch under this call in one
-  trace (see ``docs/OBSERVABILITY.md``).  With telemetry off and no
-  ambient trace, nothing is added to the header and nothing is timed.
+  the daemon's spans stitch under the call (``docs/OBSERVABILITY.md``).
+  Otherwise nothing is added to the header and nothing is timed.
 
-Both retry paths share one delay policy —
-:func:`repro.util.backoff.backoff_delay` — so the whole fleet
-(clients, and the cluster router's membership re-probe) jitters the
-same way.
-
-One client owns one socket and is **not** thread-safe — give each
-thread its own client (they are cheap; the stress tests do exactly
-this).  Use as a context manager to close the socket deterministically.
-Construction is free of I/O — the socket dials lazily on the first
-call (or on ``__enter__``), so a client can be built before its daemon
-is up:
+Use a client as a context manager to close it deterministically.
+Construction is free of I/O — a connection dials lazily on the first
+call (or on ``ServiceClient.__enter__``), so a client can be built
+before its daemon is up:
 
 >>> client = ServiceClient(port=7777, busy_retries=3, seed=42)
 >>> (client.host, client.port, client.busy_retries)
@@ -63,17 +61,19 @@ to which one it dialed):
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import random
 import socket
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.compressors.base import CompressedBuffer, CompressorMode
 from repro.errors import ProtocolError, ServiceBusyError, ServiceError
-from repro.parallel.shm import SegmentPool, shm_enabled
+from repro.parallel.shm import SegmentPool, SharedArray, shm_enabled
 from repro.service import protocol
 from repro.telemetry import context as trace_context
 from repro.telemetry import get_telemetry
@@ -87,16 +87,131 @@ DEFAULT_PORT = 9461
 REPLY_SHM_SLACK = 1 << 12
 
 #: Error codes that mean "this peer cannot attach my segments" — the
-#: client retries inline and stops offering shm on this connection.
+#: client resends inline and stops offering shm.
 _SHM_ERROR_CODES = frozenset({"shm_attach", "shm_unavailable"})
+
+#: ``build(use_shm) -> (header, payload, segs)``: one request's frame.
+#: ``segs`` is ``()`` inline, else ``(request segment, reply segment)``
+#: with ``None`` for a side that travels inline.
+Build = Callable[[bool], tuple[dict[str, Any], bytes, tuple]]
+#: ``finish(reply, body, segs) -> result``: one ``ok`` reply decoded.
+Finish = Callable[[dict[str, Any], bytes, tuple], Any]
 
 
 def _is_loopback(host: str) -> bool:
     return host == "localhost" or host.startswith("127.") or host == "::1"
 
 
-class ServiceClient:
-    """Blocking MSG1 client (see module docstring)."""
+def _shm_reply(reply: dict[str, Any], segs: tuple,
+               exact: int | None = None) -> SharedArray | None:
+    """The reply segment, when the reply's bulk bytes came back in it."""
+    n = reply.get(protocol.SHM_NBYTES_FIELD)
+    if n is None:
+        return None
+    rep = segs[1] if segs else None
+    if rep is None or not isinstance(n, int) or not 0 <= n <= rep.nbytes \
+            or (exact is not None and n != exact):
+        raise ProtocolError(f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}")
+    return rep
+
+
+def _reply_bytes(reply: dict[str, Any], body: bytes, segs: tuple) -> bytes:
+    rep = _shm_reply(reply, segs)
+    if rep is None:
+        return body
+    return rep.view((reply[protocol.SHM_NBYTES_FIELD],), np.uint8).tobytes()
+
+
+@dataclass(slots=True)
+class _Call:
+    """One logical request in flight; ``ctx`` is the trace it carries."""
+
+    future: concurrent.futures.Future
+    build: Build
+    finish: Finish
+    ctx: Any = None
+    header: dict[str, Any] = field(default_factory=dict)
+    payload: bytes = b""
+    segs: tuple = ()
+    attempt: int = 0
+
+
+class _Channel:
+    """One pipelined connection: a send lock, an id→call map, a reader."""
+
+    def __init__(self, owner: "_ClientCore", sock: socket.socket,
+                 caps: frozenset[str]) -> None:
+        self.owner = owner
+        self.sock = sock
+        self.caps = caps
+        self.lock = threading.Lock()
+        self.pending: dict[int, _Call] = {}
+        self.next_id = 0
+        self.dead = False
+        self.reader = threading.Thread(
+            target=self._read_loop, name="repro-client-reader", daemon=True
+        )
+        self.reader.start()
+
+    def send(self, call: _Call) -> None:
+        """Register ``call`` under a fresh id and write its frame."""
+        with self.lock:
+            if self.dead:
+                raise ServiceError("channel closed")
+            self.next_id += 1
+            rid = self.next_id
+            header = {**call.header, "id": rid}
+            if call.ctx is not None:
+                header[trace_context.TRACE_FIELD] = call.ctx.to_traceparent()
+            self.pending[rid] = call
+            try:
+                protocol.write_frame_sock(self.sock, header, call.payload)
+            except OSError as exc:
+                self.pending.pop(rid, None)
+                raise ServiceError(f"send failed: {exc}") from exc
+
+    def _read_loop(self) -> None:
+        while True:
+            try:
+                reply, body = protocol.read_frame_sock(self.sock)
+            except socket.timeout:
+                # Idle timeouts are benign (nothing was mid-frame); a
+                # timeout with requests outstanding means the server
+                # went silent past request_timeout_s — fail the channel.
+                with self.lock:
+                    idle = not self.pending and not self.dead
+                if idle:
+                    continue
+                self.fail(ServiceError("request timed out"))
+                return
+            except (OSError, ProtocolError) as exc:
+                self.fail(ServiceError(f"connection lost: {exc}"))
+                return
+            self.owner._dispatch(self, reply, body)
+
+    def fail(self, exc: Exception) -> None:
+        """Kill the channel, failing every in-flight call with ``exc``."""
+        with self.lock:
+            if self.dead:
+                return
+            self.dead = True
+            calls = list(self.pending.values())
+            self.pending.clear()
+            # shutdown() wakes a reader blocked in recv(); close() alone
+            # would leave it asleep until the socket timeout.
+            with contextlib.suppress(OSError):
+                self.sock.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
+                self.sock.close()
+        for call in calls:
+            self.owner._finish_call(call, error=exc)
+
+
+class _ClientCore:
+    """The one MSG1 client core (see module docstring)."""
+
+    #: Connections per client; :class:`PooledClient` takes it as an argument.
+    connections = 1
 
     def __init__(
         self,
@@ -123,18 +238,16 @@ class ServiceClient:
         #: hosts (the error fallback still protects a wrong guess).
         self.shm = shm
         self._rng = random.Random(seed)
-        self._sock: socket.socket | None = None
-        self._next_id = 0
-        self._caps: frozenset[str] = frozenset()
-        self._negotiated = False
+        self._lock = threading.Lock()
+        self._channels: list[_Channel | None] = [None] * self.connections
+        self._rr = 0
+        self._segments = SegmentPool()
         self._shm_broken = False
-        self._segments: SegmentPool | None = None
+        self._closed = False
 
-    # -- connection management --------------------------------------------
+    # -- connections --------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
+    def _dial(self) -> socket.socket:
         deadline = time.monotonic() + self.connect_timeout_s
         attempt = 0
         while True:
@@ -160,34 +273,7 @@ class ServiceClient:
                 time.sleep(delay)
         sock.settimeout(self.request_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
         return sock
-
-    def _reset(self) -> None:
-        """Drop the socket (the next call redials and renegotiates)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-        self._negotiated = False
-        self._caps = frozenset()
-
-    def close(self) -> None:
-        """Close the socket and unlink any pooled data-plane segments."""
-        self._reset()
-        if self._segments is not None:
-            self._segments.close()
-            self._segments = None
-
-    def __enter__(self) -> "ServiceClient":
-        self._connect()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- shm negotiation ----------------------------------------------------
 
     def _shm_wanted(self) -> bool:
         if self._shm_broken or not shm_enabled():
@@ -196,11 +282,12 @@ class ServiceClient:
             return self.shm
         return _is_loopback(self.host)
 
-    def _negotiate(self) -> frozenset[str]:
-        """HELLO once per connection; pre-capability servers yield ∅."""
-        sock = self._connect()
-        if self._negotiated:
-            return self._caps
+    def _open_channel(self) -> _Channel:
+        """Dial, HELLO, then hand the socket to a reader thread.
+
+        A pre-capability server's error reply means no capabilities.
+        """
+        sock = self._dial()
         want = [protocol.CAP_PIPELINE]
         if self._shm_wanted():
             want.append(protocol.CAP_SHM)
@@ -209,117 +296,305 @@ class ServiceClient:
                 sock, {"op": "hello", protocol.CAPS_FIELD: want}
             )
             reply, _ = protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError):
-            self._reset()
-            raise
+        except (OSError, ProtocolError) as exc:
+            sock.close()
+            raise ServiceError(f"capability handshake failed: {exc}") from exc
         caps = (
             reply.get(protocol.CAPS_FIELD)
             if reply.get("status") == "ok" else None
         )
-        self._caps = frozenset(caps if isinstance(caps, list) else ())
-        self._negotiated = True
-        return self._caps
-
-    def _segment_pool(self) -> SegmentPool:
-        if self._segments is None:
-            self._segments = SegmentPool()
-        return self._segments
-
-    def _use_shm(self, nbytes: int) -> bool:
-        """True when this payload should go through shared memory."""
-        return (
-            nbytes >= protocol.SHM_MIN_BYTES
-            and self._shm_wanted()
-            and protocol.CAP_SHM in self._negotiate()
+        return _Channel(
+            self, sock, frozenset(caps if isinstance(caps, list) else ())
         )
 
-    def _shm_body(self, reply: dict[str, Any], body: bytes, reply_seg):
-        """The reply's bulk bytes — from the scratch segment if used."""
-        n = reply.get(protocol.SHM_NBYTES_FIELD)
-        if n is None:
-            return body
-        if (
-            reply_seg is None
-            or not isinstance(n, int)
-            or not 0 <= n <= reply_seg.nbytes
-        ):
-            raise ProtocolError(f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}")
-        return reply_seg.view((n,), np.uint8).tobytes()
+    def _next_channel(self) -> _Channel:
+        with self._lock:
+            if self._closed:
+                raise ServiceError("client closed")
+            slot = self._rr % self.connections
+            self._rr += 1
+            chan = self._channels[slot]
+            if chan is not None and not chan.dead:
+                return chan
+            chan = self._open_channel()
+            self._channels[slot] = chan
+            return chan
+
+    @property
+    def _negotiated(self) -> bool:
+        """True while the first connection is up (it opened with HELLO)."""
+        chan = self._channels[0]
+        return chan is not None and not chan.dead
+
+    @property
+    def _caps(self) -> frozenset[str]:
+        """Capabilities the first connection negotiated (∅ before)."""
+        return self._channels[0].caps if self._negotiated else frozenset()
+
+    def close(self) -> None:
+        """Fail in-flight calls, close every connection, unlink segments."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            channels = [c for c in self._channels if c is not None]
+            self._channels = [None] * self.connections
+        for chan in channels:
+            chan.fail(ServiceError("client closed"))
+            chan.reader.join(timeout=2.0)
+        self._segments.close()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    # -- completion plumbing (reader / retry threads) -----------------------
+
+    def _release_segs(self, call: _Call) -> None:
+        for seg in call.segs:
+            if seg is not None:
+                self._segments.release(seg)
+        call.segs = ()
+
+    def _finish_call(
+        self, call: _Call, reply: dict[str, Any] | None = None,
+        body: bytes = b"", error: Exception | None = None,
+    ) -> None:
+        if error is None:
+            try:
+                result = call.finish(reply, body, call.segs)
+            except Exception as exc:  # a bad reply surfaces on the future
+                error = exc
+        self._release_segs(call)
+        if error is not None:
+            call.future.set_exception(error)
+        else:
+            call.future.set_result(result)
+
+    def _dispatch(self, chan: _Channel, reply: dict[str, Any],
+                  body: bytes) -> None:
+        with chan.lock:
+            call = chan.pending.pop(reply.get("id"), None)
+        if call is None:
+            return  # late or duplicate reply — drop it
+        status = reply.get("status")
+        code = reply.get("code", "error")
+        if status == "ok":
+            self._finish_call(call, reply, body)
+        elif status == "busy":
+            call.attempt += 1
+            if call.attempt > self.busy_retries:
+                self._finish_call(call, error=ServiceBusyError(
+                    f"server still busy after {self.busy_retries} retries"
+                ))
+                return
+            delay = backoff_delay(
+                call.attempt - 1,
+                base_s=self.retry_base_s,
+                cap_s=self.retry_max_s,
+                hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
+                rng=self._rng,
+            )
+            threading.Thread(
+                target=self._resend_after, args=(chan, call, delay, code),
+                name="repro-client-retry", daemon=True,
+            ).start()
+        elif code in _SHM_ERROR_CODES and any(call.segs):
+            # This peer cannot attach our segments — go inline for good.
+            self._shm_broken = True
+            self._release_segs(call)
+            try:
+                call.header, call.payload, call.segs = call.build(False)
+                chan.send(call)
+            except (ServiceError, ProtocolError) as exc:
+                self._finish_call(call, error=exc)
+        else:
+            exc = ServiceError(
+                f"{call.header.get('op')} failed [{code}]: "
+                f"{reply.get('error')}"
+            )
+            exc.code = code  # machine-readable
+            self._finish_call(call, error=exc)
+
+    def _resend_after(self, chan: _Channel, call: _Call, delay: float,
+                      code: str) -> None:
+        with trace_context.use(call.ctx):
+            with get_telemetry().span(
+                "client.busy_wait", attempt=call.attempt,
+                delay_ms=delay * 1e3, code=code,
+            ):
+                time.sleep(delay)
+        try:
+            chan.send(call)
+        except ServiceError as exc:
+            self._finish_call(call, error=exc)
+
+    # -- submission ---------------------------------------------------------
+
+    def _submit(self, nbytes: int, build: Build, finish: Finish,
+                ctx=None) -> concurrent.futures.Future:
+        """Build one request for the next connection and send it."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        call = _Call(future, build, finish, ctx)
+        try:
+            chan = self._next_channel()
+            use_shm = (
+                nbytes >= protocol.SHM_MIN_BYTES
+                and self._shm_wanted()
+                and protocol.CAP_SHM in chan.caps
+            )
+            call.header, call.payload, call.segs = build(use_shm)
+            chan.send(call)
+        except Exception as exc:
+            self._release_segs(call)
+            future.set_exception(exc)
+        return future
+
+    # -- request builders: (nbytes, build, finish) per op --------------------
+
+    def _frame(self, header: dict[str, Any], data: np.ndarray,
+               timeout_ms: float | None, use_shm: bool,
+               reply_nbytes: int = 0):
+        """``(header, payload, segs)`` carrying ``data``.
+
+        With ``use_shm``, a payload of at least ``SHM_MIN_BYTES`` goes
+        into a pooled segment, and a reply of at least that size is
+        offered a pooled scratch segment of ``reply_nbytes``.
+        """
+        if timeout_ms is not None:
+            header["timeout_ms"] = float(timeout_ms)
+        if not use_shm:
+            return header, protocol.pack_array(data), ()
+        req = rep = None
+        payload = b""
+        if data.nbytes >= protocol.SHM_MIN_BYTES:
+            arr = np.ascontiguousarray(data)
+            req = self._segments.acquire(arr.nbytes)
+            req.view(arr.shape, arr.dtype)[...] = arr
+            header[protocol.SHM_FIELD] = protocol.shm_fields(
+                req.view_descriptor(arr.shape, arr.dtype)
+            )
+        else:
+            payload = protocol.pack_array(data)
+        if reply_nbytes >= protocol.SHM_MIN_BYTES:
+            rep = self._segments.acquire(reply_nbytes)
+            header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
+                rep.name, rep.nbytes
+            )
+        return header, payload, (req, rep)
+
+    def _compress_req(self, data, compressor, mode, value, options,
+                      timeout_ms):
+        data = np.asarray(data)
+
+        def build(use_shm: bool):
+            header = {
+                "op": "compress",
+                "compressor": compressor,
+                "mode": mode,
+                "value": float(value),
+                "options": options or {},
+                **protocol.array_fields(data),
+            }
+            return self._frame(header, data, timeout_ms, use_shm,
+                               data.nbytes + REPLY_SHM_SLACK)
+
+        def finish(reply: dict[str, Any], body: bytes, segs: tuple):
+            meta = dict(reply.get("meta") or {})
+            meta["compressor"] = reply.get("compressor", compressor)
+            if options:
+                meta["options"] = dict(options)
+            return CompressedBuffer(
+                payload=_reply_bytes(reply, body, segs),
+                original_shape=tuple(reply["shape"]),
+                original_dtype=np.dtype(reply["dtype"]),
+                mode=CompressorMode(reply["mode"]),
+                parameter=float(reply["parameter"]),
+                meta=meta,
+            )
+
+        return data.nbytes, build, finish
+
+    def _decompress_req(self, buf, compressor, options, timeout_ms):
+        name = compressor or buf.meta.get("compressor")
+        if not name:
+            raise ServiceError(
+                "decompress needs a compressor (none recorded in buf.meta)"
+            )
+        if options is None:
+            options = buf.meta.get("options") or {}
+        out_shape = tuple(int(s) for s in buf.original_shape)
+        out_dtype = np.dtype(buf.original_dtype)
+        out_nbytes = (
+            int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
+        )
+        stream = np.frombuffer(buf.payload, dtype=np.uint8)
+
+        def build(use_shm: bool):
+            header = {
+                "op": "decompress",
+                "compressor": name,
+                "options": options,
+                "mode": buf.mode.value,
+                "parameter": buf.parameter,
+                "dtype": out_dtype.str,
+                "shape": list(out_shape),
+            }
+            return self._frame(header, stream, timeout_ms, use_shm, out_nbytes)
+
+        def finish(reply: dict[str, Any], body: bytes, segs: tuple):
+            rep = _shm_reply(reply, segs, exact=out_nbytes)
+            if rep is not None:
+                return rep.view(out_shape, out_dtype).copy()
+            return protocol.unpack_array(reply, body).copy()
+
+        return max(stream.nbytes, out_nbytes), build, finish
+
+
+class ServiceClient(_ClientCore):
+    """Blocking MSG1 client: the core over one connection, depth 1.
+
+    Each method submits its request and waits for the result.  Threads
+    sharing a client pipeline over its one connection.
+    """
+
+    def __enter__(self) -> "ServiceClient":
+        self._next_channel()
+        return self
 
     # -- request plumbing ---------------------------------------------------
 
-    def _roundtrip(
-        self, header: dict[str, Any], payload: bytes
-    ) -> tuple[dict[str, Any], bytes]:
-        """One frame out, one frame in; connection errors reset the socket."""
-        sock = self._connect()
-        try:
-            protocol.write_frame_sock(sock, header, payload)
-            return protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError):
-            # The stream is unusable — drop it so the next call redials.
-            self._reset()
-            raise
+    def _traced(self, op: str, nbytes: int, run: Callable[[], Any]) -> Any:
+        """``run()`` — inside a ``client.<op>`` span when tracing is on."""
+        tm = get_telemetry()
+        if not tm.enabled and trace_context.current() is None:
+            return run()
+        with trace_context.start_trace():
+            with tm.span(f"client.{op}", op=op, bytes=nbytes):
+                return run()
+
+    def _call(self, op: str, nbytes: int, build: Build,
+              finish: Finish) -> Any:
+        # The trace context is read inside the span, so the daemon's
+        # spans parent under this call.
+        return self._traced(op, nbytes, lambda: self._submit(
+            nbytes, build, finish, trace_context.current()
+        ).result())
 
     def _request(
         self, header: dict[str, Any], payload: bytes = b""
     ) -> tuple[dict[str, Any], bytes]:
-        """Send a request, retrying ``busy`` replies with jittered backoff.
+        """One raw request; returns ``(reply, body)``, error replies raise."""
+        return self._traced(header.get("op"), len(payload),
+                            lambda: self._roundtrip(header, payload))
 
-        Traced calls (telemetry enabled, or an ambient trace context)
-        run inside a ``client.<op>`` span and carry the context in the
-        header; the untraced path is byte-identical to before.
-        """
-        self._next_id += 1
-        header = {**header, "id": self._next_id}
-        tm = get_telemetry()
-        if not tm.enabled and trace_context.current() is None:
-            return self._request_once(header, payload)
-        op = header.get("op")
-        with trace_context.start_trace():
-            with tm.span(f"client.{op}", op=op, bytes=len(payload)):
-                # Inject *inside* the span so the daemon parents under it.
-                return self._request_once(
-                    trace_context.inject(header), payload
-                )
-
-    def _request_once(
+    def _roundtrip(
         self, header: dict[str, Any], payload: bytes
     ) -> tuple[dict[str, Any], bytes]:
-        """The busy-retry loop around one logical request."""
-        tm = get_telemetry()
-        for attempt in range(self.busy_retries + 1):
-            reply, body = self._roundtrip(header, payload)
-            status = reply.get("status")
-            if status == "ok":
-                return reply, body
-            if status == "busy":
-                if attempt >= self.busy_retries:
-                    break
-                delay = backoff_delay(
-                    attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
-                    hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-                    rng=self._rng,
-                )
-                with tm.span(
-                    "client.busy_wait",
-                    attempt=attempt + 1,
-                    delay_ms=delay * 1e3,
-                    code=reply.get("code", "busy"),
-                ):
-                    time.sleep(delay)
-                continue
-            exc = ServiceError(
-                f"{header.get('op')} failed "
-                f"[{reply.get('code', 'error')}]: {reply.get('error')}"
-            )
-            exc.code = reply.get("code", "error")  # machine-readable
-            raise exc
-        raise ServiceBusyError(
-            f"server still busy after {self.busy_retries} retries"
-        )
+        """Send one prebuilt frame and wait (busy retries included)."""
+        return self._submit(
+            len(payload), lambda _: (header, payload, ()),
+            lambda reply, body, segs: (reply, body), trace_context.current(),
+        ).result()
 
     # -- operations ---------------------------------------------------------
 
@@ -339,63 +614,9 @@ class ServiceClient:
         interoperates with it — ``meta["compressor"]`` records the codec
         so :meth:`decompress` can route it back without extra arguments.
         """
-        data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "compress",
-            "compressor": compressor,
-            "mode": mode,
-            "value": float(value),
-            "options": options or {},
-            **protocol.array_fields(data),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                reply_seg = pool.acquire(arr.nbytes + REPLY_SHM_SLACK)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    reply_seg.name, reply_seg.nbytes
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.compress(
-                        data, compressor, mode=mode, value=value,
-                        options=options, timeout_ms=timeout_ms,
-                    )
-                raise
-            body = self._shm_body(reply, body, reply_seg)
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
-        meta = dict(reply.get("meta") or {})
-        meta["compressor"] = reply.get("compressor", compressor)
-        if options:
-            meta["options"] = dict(options)
-        return CompressedBuffer(
-            payload=body,
-            original_shape=tuple(reply["shape"]),
-            original_dtype=np.dtype(reply["dtype"]),
-            mode=CompressorMode(reply["mode"]),
-            parameter=float(reply["parameter"]),
-            meta=meta,
-        )
+        return self._call("compress", *self._compress_req(
+            data, compressor, mode, value, options, timeout_ms
+        ))
 
     def decompress(
         self,
@@ -405,73 +626,9 @@ class ServiceClient:
         timeout_ms: float | None = None,
     ) -> np.ndarray:
         """Decompress a buffer remotely (codec from ``buf.meta`` by default)."""
-        name = compressor or buf.meta.get("compressor")
-        if not name:
-            raise ServiceError(
-                "decompress needs a compressor (none recorded in buf.meta)"
-            )
-        if options is None:
-            options = buf.meta.get("options") or {}
-        header: dict[str, Any] = {
-            "op": "decompress",
-            "compressor": name,
-            "options": options,
-            "mode": buf.mode.value,
-            "parameter": buf.parameter,
-            "dtype": np.dtype(buf.original_dtype).str,
-            "shape": list(buf.original_shape),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        out_shape = tuple(int(s) for s in buf.original_shape)
-        out_dtype = np.dtype(buf.original_dtype)
-        out_nbytes = int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
-        stream = np.frombuffer(buf.payload, dtype=np.uint8)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(max(stream.nbytes, out_nbytes)):
-                pool = self._segment_pool()
-                if stream.nbytes >= protocol.SHM_MIN_BYTES:
-                    req_seg = pool.acquire(stream.nbytes)
-                    req_seg.view(stream.shape, np.uint8)[...] = stream
-                    header[protocol.SHM_FIELD] = protocol.shm_fields(
-                        req_seg.view_descriptor(stream.shape, np.uint8)
-                    )
-                    payload = b""
-                else:
-                    payload = buf.payload
-                if out_nbytes >= protocol.SHM_MIN_BYTES:
-                    reply_seg = pool.acquire(out_nbytes)
-                    header[protocol.REPLY_SHM_FIELD] = (
-                        protocol.reply_shm_fields(reply_seg.name,
-                                                  reply_seg.nbytes)
-                    )
-            else:
-                payload = buf.payload
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if (req_seg is not None or reply_seg is not None) \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.decompress(
-                        buf, compressor=compressor, options=options,
-                        timeout_ms=timeout_ms,
-                    )
-                raise
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None and reply_seg is not None:
-                if not isinstance(n, int) or n != out_nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                return reply_seg.view(out_shape, out_dtype).copy()
-            return protocol.unpack_array(reply, body).copy()
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
+        return self._call("decompress", *self._decompress_req(
+            buf, compressor, options, timeout_ms
+        ))
 
     def sweep(
         self,
@@ -488,42 +645,20 @@ class ServiceClient:
         (``row["cache"] == "hit"``).
         """
         data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "sweep",
-            "field": field,
-            "sweeps": sweeps,
-            **protocol.array_fields(data),
-        }
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, _ = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.sweep(
-                        data, sweeps, field=field, timeout_ms=timeout_ms
-                    )
-                raise
-        finally:
-            if req_seg is not None:
-                pool.release(req_seg)
-        return list(reply.get("records") or [])
+
+        def build(use_shm: bool):
+            header = {
+                "op": "sweep",
+                "field": field,
+                "sweeps": sweeps,
+                **protocol.array_fields(data),
+            }
+            return self._frame(header, data, timeout_ms, use_shm)
+
+        return self._call(
+            "sweep", data.nbytes, build,
+            lambda reply, body, segs: list(reply.get("records") or []),
+        )
 
     # -- stateful sessions (docs/INSITU.md) ---------------------------------
 
@@ -578,50 +713,22 @@ class ServiceClient:
         automatically.
         """
         data = np.asarray(data)
-        header: dict[str, Any] = {
-            "op": "session_step",
-            protocol.SESSION_FIELD: session_id,
-            **protocol.array_fields(data),
-        }
-        if expect_ref is not ...:
-            header["expect_ref"] = expect_ref
-        if timeout_ms is not None:
-            header["timeout_ms"] = float(timeout_ms)
-        req_seg = reply_seg = None
-        pool = None
-        try:
-            if self._use_shm(data.nbytes):
-                arr = np.ascontiguousarray(data)
-                pool = self._segment_pool()
-                req_seg = pool.acquire(arr.nbytes)
-                req_seg.view(arr.shape, arr.dtype)[...] = arr
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req_seg.view_descriptor(arr.shape, arr.dtype)
-                )
-                reply_seg = pool.acquire(arr.nbytes + REPLY_SHM_SLACK)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    reply_seg.name, reply_seg.nbytes
-                )
-                payload = b""
-            else:
-                payload = protocol.pack_array(data)
-            try:
-                reply, body = self._request(header, payload)
-            except ServiceError as exc:
-                if req_seg is not None \
-                        and getattr(exc, "code", None) in _SHM_ERROR_CODES:
-                    self._shm_broken = True
-                    return self.session_step(
-                        session_id, data, expect_ref=expect_ref,
-                        timeout_ms=timeout_ms,
-                    )
-                raise
-            body = self._shm_body(reply, body, reply_seg)
-        finally:
-            for seg in (req_seg, reply_seg):
-                if seg is not None:
-                    pool.release(seg)
-        return reply, body
+
+        def build(use_shm: bool):
+            header = {
+                "op": "session_step",
+                protocol.SESSION_FIELD: session_id,
+                **protocol.array_fields(data),
+            }
+            if expect_ref is not ...:
+                header["expect_ref"] = expect_ref
+            return self._frame(header, data, timeout_ms, use_shm,
+                               data.nbytes + REPLY_SHM_SLACK)
+
+        return self._call(
+            "session_step", data.nbytes, build,
+            lambda reply, body, segs: (reply, _reply_bytes(reply, body, segs)),
+        )
 
     def session_close(self, session_id: str) -> dict[str, Any]:
         """Tear down a session; returns its step/byte accounting."""
@@ -728,122 +835,15 @@ class ServiceSession:
             pass
 
 
-# ---------------------------------------------------------------------------
-# Multiplexing client pool
-# ---------------------------------------------------------------------------
-
-
-class _Call:
-    """One logical request in flight through a :class:`PooledClient`."""
-
-    __slots__ = (
-        "future", "finish", "build", "header", "payload", "segs",
-        "attempt", "deadline", "id",
-    )
-
-    def __init__(self, future, finish, build, header, payload, segs):
-        self.future = future
-        self.finish = finish
-        self.build = build
-        self.header = header
-        self.payload = payload
-        self.segs = segs
-        self.attempt = 0
-        self.deadline = 0.0
-        self.id = 0
-
-
-class _Channel:
-    """One pipelined connection: a send lock, an id→call map, a reader."""
-
-    def __init__(self, owner: "PooledClient", sock: socket.socket,
-                 caps: frozenset[str]) -> None:
-        self.owner = owner
-        self.sock = sock
-        self.caps = caps
-        self.lock = threading.Lock()
-        self.pending: dict[int, _Call] = {}
-        self.next_id = 0
-        self.dead = False
-        self.reader = threading.Thread(
-            target=self._read_loop, name="repro-pooled-reader", daemon=True
-        )
-        self.reader.start()
-
-    def send(self, call: _Call) -> None:
-        """Register ``call`` under a fresh id and write its frame."""
-        with self.lock:
-            if self.dead:
-                raise ServiceError("channel closed")
-            self.next_id += 1
-            call.id = self.next_id
-            call.header = {**call.header, "id": call.id}
-            call.deadline = time.monotonic() + self.owner.request_timeout_s
-            self.pending[call.id] = call
-            try:
-                protocol.write_frame_sock(self.sock, call.header, call.payload)
-            except OSError as exc:
-                self.pending.pop(call.id, None)
-                raise ServiceError(f"send failed: {exc}") from exc
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                reply, body = protocol.read_frame_sock(self.sock)
-            except socket.timeout:
-                # Idle timeouts are benign (nothing was mid-frame); a
-                # timeout with requests outstanding means the server
-                # went silent past request_timeout_s — fail the channel.
-                with self.lock:
-                    idle = not self.pending and not self.dead
-                if idle:
-                    continue
-                self.fail(ServiceError("request timed out"))
-                return
-            except (OSError, ProtocolError) as exc:
-                with self.lock:
-                    dead = self.dead
-                if not dead:
-                    self.fail(ServiceError(f"connection lost: {exc}"))
-                return
-            self.owner._dispatch(self, reply, body)
-
-    def fail(self, exc: Exception) -> None:
-        """Kill the channel, failing every in-flight call with ``exc``."""
-        with self.lock:
-            if self.dead:
-                calls = []
-            else:
-                self.dead = True
-                calls = list(self.pending.values())
-                self.pending.clear()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-        for call in calls:
-            self.owner._finish_call(call, error=exc)
-
-
-class PooledClient:
+class PooledClient(_ClientCore):
     """N requests in flight over M pipelined connections.
 
-    Where :class:`ServiceClient` is strictly one-request-at-a-time,
-    ``PooledClient`` multiplexes: every call gets a per-connection
-    ``id``, frames are written under a send lock, and a reader thread
-    per connection completes futures as replies arrive — in any order.
-    ``compress_async``/``decompress_async`` return
-    :class:`concurrent.futures.Future`; the blocking ``compress``/
-    ``decompress`` wrappers just ``.result()`` them, so one pool serves
-    both styles from any number of threads.
-
-    The zero-copy data plane is shared with :class:`ServiceClient`:
-    one HELLO per connection negotiates capabilities, large payloads
-    ride pooled shared-memory segments (one :class:`SegmentPool` for
-    the whole pool), and any shm error falls back to inline bytes for
-    the rest of the pool's life.  ``busy`` replies are retried off a
-    timer thread with the same jittered backoff as the blocking client,
-    so a full admission queue never stalls the reader.
+    The core over ``connections`` connections, used round-robin from
+    any number of threads.  ``compress_async``/``decompress_async``
+    return :class:`concurrent.futures.Future`; the blocking
+    ``compress``/``decompress`` wrappers just ``.result()`` them.  One
+    :class:`SegmentPool` serves every connection, and an shm error on
+    any of them sends the rest of the pool's life inline.
     """
 
     def __init__(
@@ -862,218 +862,20 @@ class PooledClient:
     ) -> None:
         if connections < 1:
             raise ValueError("connections must be >= 1")
-        self.host = host
-        self.port = port
         self.connections = connections
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self.busy_retries = busy_retries
-        self.retry_base_s = retry_base_s
-        self.retry_max_s = retry_max_s
-        self.shm = shm
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._channels: list[_Channel | None] = [None] * connections
-        self._rr = 0
-        self._segments = SegmentPool()
-        self._shm_broken = False
-        self._closed = False
-
-    # -- connections --------------------------------------------------------
-
-    def _dial(self) -> socket.socket:
-        deadline = time.monotonic() + self.connect_timeout_s
-        attempt = 0
-        while True:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port),
-                    timeout=max(0.1, deadline - time.monotonic()),
-                )
-                break
-            except OSError as exc:
-                attempt += 1
-                delay = backoff_delay(
-                    attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
-                    jitter=(0.5, 1.0),
-                    rng=self._rng,
-                )
-                if time.monotonic() + delay >= deadline:
-                    raise ServiceError(
-                        f"cannot connect to {self.host}:{self.port}: {exc}"
-                    ) from exc
-                time.sleep(delay)
-        sock.settimeout(self.request_timeout_s)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
-    def _shm_wanted(self) -> bool:
-        if self._shm_broken or not shm_enabled():
-            return False
-        if self.shm is not None:
-            return self.shm
-        return _is_loopback(self.host)
-
-    def _open_channel(self) -> _Channel:
-        """Dial, HELLO synchronously, then hand the socket to a reader."""
-        sock = self._dial()
-        want = [protocol.CAP_PIPELINE]
-        if self._shm_wanted():
-            want.append(protocol.CAP_SHM)
-        try:
-            protocol.write_frame_sock(
-                sock, {"op": "hello", protocol.CAPS_FIELD: want}
-            )
-            reply, _ = protocol.read_frame_sock(sock)
-        except (OSError, ProtocolError) as exc:
-            sock.close()
-            raise ServiceError(f"capability handshake failed: {exc}") from exc
-        caps = (
-            reply.get(protocol.CAPS_FIELD)
-            if reply.get("status") == "ok" else None
+        super().__init__(
+            host, port,
+            connect_timeout_s=connect_timeout_s,
+            request_timeout_s=request_timeout_s,
+            busy_retries=busy_retries,
+            retry_base_s=retry_base_s,
+            retry_max_s=retry_max_s,
+            seed=seed,
+            shm=shm,
         )
-        return _Channel(
-            self, sock, frozenset(caps if isinstance(caps, list) else ())
-        )
-
-    def _next_channel(self) -> _Channel:
-        with self._lock:
-            if self._closed:
-                raise ServiceError("client closed")
-            slot = self._rr % self.connections
-            self._rr += 1
-            chan = self._channels[slot]
-            if chan is not None and not chan.dead:
-                return chan
-            chan = self._open_channel()
-            self._channels[slot] = chan
-            return chan
-
-    def close(self) -> None:
-        """Fail in-flight calls, close every connection, unlink segments."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            channels = [c for c in self._channels if c is not None]
-            self._channels = [None] * self.connections
-        for chan in channels:
-            chan.fail(ServiceError("client closed"))
-        for chan in channels:
-            chan.reader.join(timeout=2.0)
-        self._segments.close()
 
     def __enter__(self) -> "PooledClient":
         return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- completion plumbing (reader / timer threads) -----------------------
-
-    def _release_segs(self, call: _Call) -> None:
-        for seg in call.segs:
-            self._segments.release(seg)
-        call.segs = ()
-
-    def _finish_call(
-        self, call: _Call, *, reply: dict[str, Any] | None = None,
-        body: bytes = b"", error: Exception | None = None,
-    ) -> None:
-        try:
-            if error is None:
-                result = call.finish(reply, body, call)
-        finally:
-            self._release_segs(call)
-        if error is not None:
-            call.future.set_exception(error)
-        else:
-            call.future.set_result(result)
-
-    def _resend(self, chan: _Channel, call: _Call) -> None:
-        try:
-            chan.send(call)
-        except ServiceError as exc:
-            self._finish_call(call, error=exc)
-
-    def _dispatch(self, chan: _Channel, reply: dict[str, Any],
-                  body: bytes) -> None:
-        rid = reply.get("id")
-        with chan.lock:
-            call = chan.pending.pop(rid, None)
-        if call is None:
-            return  # late or duplicate reply — drop it
-        status = reply.get("status")
-        if status == "ok":
-            try:
-                self._finish_call(call, reply=reply, body=body)
-            except Exception as exc:  # finish() raised — surface it
-                call.future.set_exception(exc)
-            return
-        if status == "busy":
-            call.attempt += 1
-            if call.attempt > self.busy_retries:
-                self._finish_call(call, error=ServiceBusyError(
-                    f"server still busy after {self.busy_retries} retries"
-                ))
-                return
-            delay = backoff_delay(
-                call.attempt - 1,
-                base_s=self.retry_base_s,
-                cap_s=self.retry_max_s,
-                hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-                rng=self._rng,
-            )
-            timer = threading.Timer(delay, self._resend, args=(chan, call))
-            timer.daemon = True
-            timer.start()
-            return
-        code = reply.get("code", "error")
-        if code in _SHM_ERROR_CODES and call.segs:
-            # This peer cannot attach our segments — go inline for good.
-            self._shm_broken = True
-            self._release_segs(call)
-            try:
-                call.header, call.payload, call.segs = call.build(False)
-                chan.send(call)
-            except (ServiceError, ProtocolError) as exc:
-                self._finish_call(call, error=exc)
-            return
-        exc = ServiceError(
-            f"{call.header.get('op')} failed [{code}]: {reply.get('error')}"
-        )
-        exc.code = code
-        self._finish_call(call, error=exc)
-
-    # -- submission ---------------------------------------------------------
-
-    def _submit(
-        self,
-        nbytes: int,
-        build: Callable[[bool], tuple[dict[str, Any], bytes, tuple]],
-        finish: Callable[[dict[str, Any], bytes, _Call], Any],
-    ) -> "concurrent.futures.Future":
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        segs: tuple = ()
-        try:
-            chan = self._next_channel()
-            use_shm = (
-                nbytes >= protocol.SHM_MIN_BYTES
-                and self._shm_wanted()
-                and protocol.CAP_SHM in chan.caps
-            )
-            header, payload, segs = build(use_shm)
-            call = _Call(future, finish, build, header, payload, segs)
-            chan.send(call)
-        except Exception as exc:
-            for seg in segs:
-                self._segments.release(seg)
-            future.set_exception(exc)
-        return future
-
-    # -- operations ---------------------------------------------------------
 
     def compress_async(
         self,
@@ -1085,56 +887,9 @@ class PooledClient:
         timeout_ms: float | None = None,
     ) -> "concurrent.futures.Future":
         """Submit a COMPRESS; the future resolves to a CompressedBuffer."""
-        data = np.asarray(data)
-
-        def build(use_shm: bool):
-            header: dict[str, Any] = {
-                "op": "compress",
-                "compressor": compressor,
-                "mode": mode,
-                "value": float(value),
-                "options": options or {},
-                **protocol.array_fields(data),
-            }
-            if timeout_ms is not None:
-                header["timeout_ms"] = float(timeout_ms)
-            if not use_shm:
-                return header, protocol.pack_array(data), ()
-            arr = np.ascontiguousarray(data)
-            req = self._segments.acquire(arr.nbytes)
-            req.view(arr.shape, arr.dtype)[...] = arr
-            header[protocol.SHM_FIELD] = protocol.shm_fields(
-                req.view_descriptor(arr.shape, arr.dtype)
-            )
-            rep = self._segments.acquire(arr.nbytes + REPLY_SHM_SLACK)
-            header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                rep.name, rep.nbytes
-            )
-            return header, b"", (req, rep)
-
-        def finish(reply: dict[str, Any], body: bytes, call: _Call):
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None and len(call.segs) == 2:
-                rep = call.segs[1]
-                if not isinstance(n, int) or not 0 <= n <= rep.nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                body = rep.view((n,), np.uint8).tobytes()
-            meta = dict(reply.get("meta") or {})
-            meta["compressor"] = reply.get("compressor", compressor)
-            if options:
-                meta["options"] = dict(options)
-            return CompressedBuffer(
-                payload=body,
-                original_shape=tuple(reply["shape"]),
-                original_dtype=np.dtype(reply["dtype"]),
-                mode=CompressorMode(reply["mode"]),
-                parameter=float(reply["parameter"]),
-                meta=meta,
-            )
-
-        return self._submit(data.nbytes, build, finish)
+        return self._submit(*self._compress_req(
+            data, compressor, mode, value, options, timeout_ms
+        ))
 
     def decompress_async(
         self,
@@ -1144,68 +899,9 @@ class PooledClient:
         timeout_ms: float | None = None,
     ) -> "concurrent.futures.Future":
         """Submit a DECOMPRESS; the future resolves to an ndarray."""
-        name = compressor or buf.meta.get("compressor")
-        if not name:
-            raise ServiceError(
-                "decompress needs a compressor (none recorded in buf.meta)"
-            )
-        if options is None:
-            options = buf.meta.get("options") or {}
-        out_shape = tuple(int(s) for s in buf.original_shape)
-        out_dtype = np.dtype(buf.original_dtype)
-        out_nbytes = (
-            int(np.prod(out_shape, dtype=np.int64)) * out_dtype.itemsize
-        )
-        stream = np.frombuffer(buf.payload, dtype=np.uint8)
-
-        def build(use_shm: bool):
-            header: dict[str, Any] = {
-                "op": "decompress",
-                "compressor": name,
-                "options": options,
-                "mode": buf.mode.value,
-                "parameter": buf.parameter,
-                "dtype": out_dtype.str,
-                "shape": list(out_shape),
-            }
-            if timeout_ms is not None:
-                header["timeout_ms"] = float(timeout_ms)
-            if not use_shm:
-                return header, buf.payload, ()
-            segs = []
-            payload = buf.payload
-            if stream.nbytes >= protocol.SHM_MIN_BYTES:
-                req = self._segments.acquire(stream.nbytes)
-                req.view(stream.shape, np.uint8)[...] = stream
-                header[protocol.SHM_FIELD] = protocol.shm_fields(
-                    req.view_descriptor(stream.shape, np.uint8)
-                )
-                segs.append(req)
-                payload = b""
-            if out_nbytes >= protocol.SHM_MIN_BYTES:
-                rep = self._segments.acquire(out_nbytes)
-                header[protocol.REPLY_SHM_FIELD] = protocol.reply_shm_fields(
-                    rep.name, rep.nbytes
-                )
-                segs.append(rep)
-            return header, payload, tuple(segs)
-
-        def finish(reply: dict[str, Any], body: bytes, call: _Call):
-            n = reply.get(protocol.SHM_NBYTES_FIELD)
-            if n is not None:
-                offered = call.header.get(protocol.REPLY_SHM_FIELD) or {}
-                rep = next(
-                    (s for s in call.segs if s.name == offered.get("name")),
-                    None,
-                )
-                if rep is None or not isinstance(n, int) or n != out_nbytes:
-                    raise ProtocolError(
-                        f"bad {protocol.SHM_NBYTES_FIELD}: {n!r}"
-                    )
-                return rep.view(out_shape, out_dtype).copy()
-            return protocol.unpack_array(reply, body).copy()
-
-        return self._submit(max(stream.nbytes, out_nbytes), build, finish)
+        return self._submit(*self._decompress_req(
+            buf, compressor, options, timeout_ms
+        ))
 
     def compress(self, *args: Any, **kwargs: Any) -> CompressedBuffer:
         """Blocking wrapper over :meth:`compress_async`."""

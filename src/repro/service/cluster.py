@@ -23,8 +23,8 @@ four things a single process cannot have:
   merely *slow* is hedged after ``hedge_after_s`` (a duplicate goes to
   the next preference, first reply wins, the loser's request id is
   abandoned: its late reply is drained off the shard's pipelined
-  channel with the connection kept — a legacy shard's socket is closed
-  instead — so a late duplicate reply can never be delivered);
+  channel with the connection kept, so a late duplicate reply can
+  never be delivered);
 * **fleet observability** — STATS merges every shard's snapshot into
   one picture, METRICS re-labels every shard's Prometheus exposition
   with ``shard="..."`` (the router itself reports as
@@ -79,6 +79,7 @@ from typing import Any
 from repro.errors import ProtocolError, ServiceError
 from repro.parallel.shm import shm_enabled
 from repro.service import protocol
+from repro.service.client import _is_loopback
 from repro.service.membership import MembershipTable
 from repro.service.ring import HashRing
 from repro.service.server import LATENCY_BOUNDS, SPAN_RETENTION, _percentile
@@ -184,32 +185,41 @@ class ShardChannel:
     def closed(self) -> bool:
         return self._closed
 
-    async def open(self, connect_timeout_s: float) -> bool:
-        """Dial and HELLO; ``True`` iff the shard speaks pipelining."""
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            timeout=connect_timeout_s,
-        )
-        await protocol.write_frame(
-            self._writer,
-            {"op": "hello", protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]},
-        )
-        frame = await protocol.read_frame(self._reader, self.max_payload_bytes)
-        if frame is None:
-            raise ProtocolError(f"shard {self.shard_id} closed during HELLO")
-        reply, _ = frame
-        caps = (
-            reply.get(protocol.CAPS_FIELD)
-            if reply.get("status") == "ok" else None
-        )
-        self.caps = frozenset(caps if isinstance(caps, list) else ())
-        if protocol.CAP_PIPELINE not in self.caps:
+    async def open(self) -> None:
+        """Dial and HELLO; the shard must pipeline.  The caller bounds
+        it; a failure or cancellation closes the half-open socket."""
+        try:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
+            await protocol.write_frame(
+                self._writer,
+                {"op": "hello", protocol.CAPS_FIELD: [protocol.CAP_PIPELINE]},
+            )
+            frame = await protocol.read_frame(
+                self._reader, self.max_payload_bytes
+            )
+            if frame is None:
+                raise ProtocolError(
+                    f"shard {self.shard_id} closed during HELLO"
+                )
+            reply, _ = frame
+            caps = (
+                reply.get(protocol.CAPS_FIELD)
+                if reply.get("status") == "ok" else None
+            )
+            self.caps = frozenset(caps if isinstance(caps, list) else ())
+            if protocol.CAP_PIPELINE not in self.caps:
+                raise ProtocolError(
+                    f"shard {self.shard_id} does not pipeline "
+                    f"(HELLO reply: {reply})"
+                )
+        except BaseException:
             self.close()
-            return False
+            raise
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop()
         )
-        return True
 
     async def request(
         self, header: dict[str, Any], payload: bytes, timeout_s: float
@@ -322,13 +332,10 @@ class ShardChannel:
 class ShardHandle:
     """One shard endpoint: identity, optional subprocess, data path.
 
-    A shard that answers HELLO with the ``pipeline`` capability gets
-    one :class:`ShardChannel` — every forward (and probe) multiplexes
-    over it, and hedge losers are drained by id with the connection
-    kept.  A pre-capability shard falls back to the legacy pool of
-    one-request-per-connection ``(reader, writer)`` pairs, where any
-    error or hedge cancellation *discards* the socket — a connection
-    with an unread or half-read reply must never be reused.
+    Every forward (and probe) multiplexes over one :class:`ShardChannel`,
+    opened on demand with a HELLO that must grant ``pipeline``; hedge
+    losers are drained by id with the connection kept.  A shard whose
+    HELLO fails is a failed shard.
     """
 
     def __init__(self, shard_id: str, host: str, port: int, proc=None) -> None:
@@ -337,62 +344,39 @@ class ShardHandle:
         self.port = port
         self.proc = proc  # DaemonProcess for spawned shards, else None
         self.channel: ShardChannel | None = None
-        self.legacy = False  # shard failed HELLO → one-shot connections
         self._channel_lock = asyncio.Lock()
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     async def get_channel(
-        self, connect_timeout_s: float, max_payload_bytes: int
-    ) -> ShardChannel | None:
-        """The live pipelined channel, or ``None`` for a legacy shard."""
-        if self.legacy:
-            return None
+        self, timeout_s: float, connect_timeout_s: float,
+        max_payload_bytes: int,
+    ) -> ShardChannel:
+        """The live channel, opened (or awaited) within the caller's
+        ``timeout_s`` and ``connect_timeout_s``: no caller waits longer
+        behind a shard that never answers HELLO.
+
+        One ``wait_for`` bounds the lock wait, dial and HELLO together;
+        a nested one loses a cancellation that lands as its inner future
+        completes (Python < 3.12), which left a drain waiting on a
+        silent shard.
+        """
         if self.channel is not None and not self.channel.closed:
             return self.channel
-        async with self._channel_lock:
-            if self.legacy:
-                return None
-            if self.channel is not None and not self.channel.closed:
-                return self.channel
-            channel = ShardChannel(
-                self.shard_id, self.host, self.port, max_payload_bytes
-            )
-            if await channel.open(connect_timeout_s):
-                self.channel = channel
-                return channel
-            self.legacy = True
-            logger.info(
-                "shard %s does not pipeline — using legacy connections",
-                self.shard_id,
-            )
-            return None
-
-    async def acquire(
-        self, connect_timeout_s: float
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if writer.is_closing():
-                continue
-            return reader, writer
         return await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            timeout=connect_timeout_s,
+            self._open(max_payload_bytes),
+            timeout=min(timeout_s, connect_timeout_s),
         )
 
-    def release(self, conn) -> None:
-        reader, writer = conn
-        if not writer.is_closing():
-            self._idle.append((reader, writer))
+    async def _open(self, max_payload_bytes: int) -> ShardChannel:
+        async with self._channel_lock:
+            if self.channel is None or self.channel.closed:
+                channel = ShardChannel(
+                    self.shard_id, self.host, self.port, max_payload_bytes
+                )
+                await channel.open()
+                self.channel = channel
+            return self.channel
 
-    def discard(self, conn) -> None:
-        _, writer = conn
-        with contextlib.suppress(Exception):
-            writer.close()
-
-    def close_idle(self) -> None:
-        while self._idle:
-            self.discard(self._idle.pop())
+    def close(self) -> None:
         if self.channel is not None:
             self.channel.close()
             self.channel = None
@@ -402,9 +386,7 @@ class ShardHandle:
         if self.proc is not None:
             out["pid"] = self.proc.pid
             out["spawned"] = True
-        if self.legacy:
-            out["legacy"] = True
-        elif self.channel is not None:
+        if self.channel is not None:
             out["pipelined"] = not self.channel.closed
             out["drains"] = self.channel.drains
         return out
@@ -626,7 +608,7 @@ class ClusterRouter:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         for handle in self.shard_handles.values():
-            handle.close_idle()
+            handle.close()
         # Spawned shards drain gracefully (SIGTERM) — concurrently, each
         # on its own executor thread, since terminate() blocks.
         spawned = [
@@ -902,12 +884,10 @@ class ClusterRouter:
         """Dispatch one request with failover and (optional) hedging.
 
         Returns ``(reply_header, body, shard_id)`` of the first shard
-        whose reply arrived.  Losing hedge attempts are cancelled; on a
-        pipelining shard that just abandons the request id — the late
-        reply is drained by the channel's reader (connection kept, a
-        best-effort CANCEL chases the queued work) — while a legacy
-        shard's socket is closed.  Either way the duplicate-suppression
-        guarantee holds: a reply is only delivered to a waiter the
+        whose reply arrived.  Losing hedge attempts are cancelled, which
+        just abandons the request id: the late reply is drained by the
+        channel's reader (connection kept, a best-effort CANCEL chases
+        the queued work).  A reply is only delivered to a waiter the
         router still has, and it keeps at most one winner.
         """
         tm = get_telemetry()
@@ -1017,37 +997,18 @@ class ClusterRouter:
         payload: bytes,
         timeout_s: float | None = None,
     ) -> tuple[dict[str, Any], bytes]:
-        """One logical request to one shard, one reply back.
-
-        Pipelining shards multiplex over their :class:`ShardChannel`
-        (cancellation drains the late reply by id and keeps the
-        connection); legacy shards use one pooled connection per
-        request, discarded on any error or cancellation.
-        """
-        handle = self.shard_handles[shard_id]
+        """One request to one shard; the budget covers opening the channel
+        and the round trip (a cancelled waiter's late reply is drained)."""
         budget = (
             timeout_s if timeout_s is not None else self.forward_timeout_s
         )
-        channel = await handle.get_channel(
-            self.connect_timeout_s, self.max_payload_bytes
+        deadline = time.monotonic() + budget
+        channel = await self.shard_handles[shard_id].get_channel(
+            budget, self.connect_timeout_s, self.max_payload_bytes
         )
-        if channel is not None:
-            return await channel.request(header, payload, budget)
-        conn = await handle.acquire(self.connect_timeout_s)
-        try:
-            reader, writer = conn
-            await protocol.write_frame(writer, header, payload)
-            frame = await asyncio.wait_for(
-                protocol.read_frame(reader, self.max_payload_bytes),
-                timeout=budget,
-            )
-            if frame is None:
-                raise ProtocolError(f"shard {shard_id} closed mid-request")
-        except BaseException:
-            handle.discard(conn)
-            raise
-        handle.release(conn)
-        return frame
+        return await channel.request(
+            header, payload, max(0.0, deadline - time.monotonic())
+        )
 
     # -- control plane (router-served ops) ---------------------------------
 
@@ -1062,9 +1023,7 @@ class ClusterRouter:
         """
         caps = {protocol.CAP_PIPELINE}
         if shm_enabled() and self.shard_handles and all(
-            h.host == "localhost" or h.host.startswith("127.")
-            or h.host == "::1"
-            for h in self.shard_handles.values()
+            _is_loopback(h.host) for h in self.shard_handles.values()
         ):
             caps.add(protocol.CAP_SHM)
         return frozenset(caps)

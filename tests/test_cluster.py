@@ -344,6 +344,28 @@ class TestFailoverAndHedging:
         finally:
             stub.close()
 
+    def test_hello_silent_shard_never_blocks_control_ops(self):
+        # A shard that accepts TCP but never answers HELLO: STATS must
+        # not wait behind it, and the probes must drain it.
+        stub = _StubShard()
+        try:
+            with ServiceThread() as sa:
+                shards = [stub.endpoint, f"127.0.0.1:{sa.port}"]
+                with ClusterThread(shards=shards, probe_timeout_s=0.5,
+                                   fail_after=2) as cluster, \
+                        ServiceClient(port=cluster.port) as client:
+                    t0 = time.monotonic()
+                    assert client.stats()["status"] == "ok"
+                    assert time.monotonic() - t0 < 2.0
+
+                    def stub_state():
+                        return {s["shard"]: s["state"] for s in
+                                client.cluster()["shards"]}[stub.endpoint]
+
+                    _wait_until(lambda: stub_state() == "down", timeout_s=5)
+        finally:
+            stub.close()
+
     def test_all_shards_down_is_a_routing_error(self):
         dead_a, dead_b = _dead_endpoint(), _dead_endpoint()
         with ClusterThread(shards=[dead_a, dead_b],

@@ -365,6 +365,60 @@ class TestShmInlineEquivalence:
                 assert client._shm_broken
 
     @requires_shm
+    def test_session_step_falls_back_inline_on_attach_failure(
+        self, monkeypatch
+    ):
+        # The shared shm->inline fallback covers SESSION_STEP too: the
+        # step is resent inline and its TMP1 frame matches an inline
+        # session's byte for byte.
+        import repro.service.server as server_mod
+
+        arr = _field(kib=256)
+        with ServiceThread() as st:
+            with ServiceClient(port=st.port, shm=False) as inline_client, \
+                    ServiceClient(port=st.port, shm=True) as client:
+                with inline_client.session_open("sz", value=1e-2) as ref:
+                    _, want = ref.step(arr)
+
+                def broken_attach(desc):
+                    from repro.errors import DataError
+                    raise DataError("segment namespace not shared")
+
+                monkeypatch.setattr(
+                    server_mod.SharedArray, "attach",
+                    staticmethod(broken_attach),
+                )
+                with client.session_open("sz", value=1e-2) as session:
+                    _, got = session.step(arr)
+                assert got == want
+                assert client._shm_broken
+
+    @requires_shm
+    def test_pooled_compress_falls_back_inline_on_attach_failure(
+        self, monkeypatch
+    ):
+        import repro.service.server as server_mod
+
+        arr = _field(kib=256)
+        with ServiceThread() as st:
+            with ServiceClient(port=st.port, shm=False) as inline_client:
+                ref = inline_client.compress(arr, "sz", mode="abs",
+                                             value=1e-3)
+
+            def broken_attach(desc):
+                from repro.errors import DataError
+                raise DataError("segment namespace not shared")
+
+            monkeypatch.setattr(
+                server_mod.SharedArray, "attach", staticmethod(broken_attach),
+            )
+            with PooledClient(port=st.port, connections=2,
+                              shm=True) as pool:
+                buf = pool.compress(arr, "sz", mode="abs", value=1e-3)
+                assert buf.payload == ref.payload
+                assert pool._shm_broken
+
+    @requires_shm
     def test_forced_inline_server_still_serves_shm_clients(self, tmp_path):
         # REPRO_NO_SHM on the daemon: HELLO never grants the shm cap, so
         # a willing client ships inline without ever seeing an error.
@@ -403,6 +457,18 @@ class TestSegmentHygiene:
             with PooledClient(port=st.port, connections=2) as pool:
                 pool.compress(arr, "store", mode="abs", value=0.0)
         _wait_until(lambda: _psm_segments() <= before, timeout_s=10)
+
+    def test_close_after_a_request_is_prompt(self):
+        # Closing wakes the reader thread at once instead of waiting
+        # for it to time out.
+        arr = _field(kib=4)
+        with ServiceThread() as st:
+            for client in (ServiceClient(port=st.port),
+                           PooledClient(port=st.port, connections=2)):
+                client.compress(arr, "store", mode="abs", value=0.0)
+                t0 = time.monotonic()
+                client.close()
+                assert time.monotonic() - t0 < 0.5, type(client).__name__
 
     def test_killed_client_process_leaks_nothing(self):
         before = _psm_segments()

@@ -5,9 +5,8 @@ python loops for batched numpy kernels or compiled native code, but the
 *stream format is the contract*: for any input, any configuration and
 any backend tier the encoder must produce bit-identical payloads, and
 every decoder must accept (and identically decode) streams from any
-encoder.  ``REPRO_SCALAR_CODECS=1`` (the deprecated alias for
-``REPRO_BACKEND=scalar``) forces the seed implementations, which is also
-exactly what ``bench_fastpath.py`` times against; the
+encoder.  ``REPRO_BACKEND=scalar`` forces the seed implementations,
+which is also exactly what ``bench_fastpath.py`` times against; the
 ``TestBackendParityMatrix`` class drives the same contract through the
 registry for the full backend x kernel matrix.
 """
@@ -54,18 +53,15 @@ BACKENDS = backend_params()
 def scalar_mode(monkeypatch):
     """Run the wrapped code under the seed scalar implementations.
 
-    Pins ``REPRO_BACKEND`` itself (not just the deprecated alias) so
-    the toggle also works when the whole suite runs under an ambient
-    tier pin, as the CI backend matrix does.
+    Pins ``REPRO_BACKEND`` so the toggle also works when the whole
+    suite runs under an ambient tier pin, as the CI backend matrix does.
     """
 
     def enable():
         monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
 
     def disable():
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
 
     disable()
     return enable, disable
@@ -108,12 +104,6 @@ class TestZFPEquivalence:
         # vice versa (it is the same stream, but exercise both decoders).
         disable()
         assert np.array_equal(ZFPCompressor().decompress(seed_buf), fast_rec)
-
-    def test_explicit_batched_flag_overrides_env(self, scalar_mode):
-        enable, _ = scalar_mode
-        enable()
-        assert ZFPCompressor(batched=True).batched is True
-        assert ZFPCompressor().batched is False
 
 
 class TestSZEquivalence:
@@ -169,7 +159,7 @@ class TestSweepEquivalence:
     """Engine knobs must not change sweep results — only their speed.
 
     The full matrix of transports (shm vs ``REPRO_NO_SHM=1`` pickling)
-    and codec implementations (vectorized vs ``REPRO_SCALAR_CODECS=1``
+    and codec implementations (vectorized vs ``REPRO_BACKEND=scalar``
     seed paths) produces identical records for the same sweep.
     """
 
@@ -181,10 +171,8 @@ class TestSweepEquivalence:
             monkeypatch.delenv("REPRO_NO_SHM", raising=False)
         if scalar:
             monkeypatch.setenv(kernels.BACKEND_ENV, "scalar")
-            monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
         else:
             monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-            monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         sweep = CompressorSweep(
             name="sz", mode="abs", sweep={"error_bound": [0.05, 0.01]}
         )

@@ -56,7 +56,6 @@ def _fresh(native_impl, probe=None):
 class TestSelection:
     def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         assert kernels.requested_backend() == "auto"
 
     @pytest.mark.parametrize("value", ["scalar", "numpy", "native", "auto"])
@@ -69,17 +68,8 @@ class TestSelection:
         with pytest.raises(ConfigError, match="REPRO_BACKEND"):
             kernels.requested_backend()
 
-    def test_legacy_scalar_alias(self, monkeypatch):
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
-        assert kernels.requested_backend() == "scalar"
-        # The new variable supersedes the deprecated alias.
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numpy")
-        assert kernels.requested_backend() == "numpy"
-
     def test_use_restores_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         assert kernels.current_override() is None
         with kernels.use("scalar"):
             assert kernels.requested_backend() == "scalar"
@@ -226,7 +216,6 @@ class TestPropagation:
 
     def test_process_map_workers_inherit_override(self, monkeypatch):
         monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        monkeypatch.delenv(kernels.LEGACY_SCALAR_ENV, raising=False)
         with kernels.use("scalar"):
             out = process_map(_worker_backend, list(range(8)), workers=2)
         assert out == ["scalar"] * 8
@@ -271,13 +260,3 @@ class TestPropagation:
         assert 'kernels_backend_info{backend="scalar",stage="sz.lorenzo"} 1' in text
         # The daemon restored the embedding process's selection on drain.
         assert kernels.current_override() is None
-
-    def test_zfp_batched_compat(self, monkeypatch):
-        monkeypatch.setenv(kernels.LEGACY_SCALAR_ENV, "1")
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        from repro.compressors.zfp.zfpcompressor import ZFPCompressor
-
-        assert ZFPCompressor().batched is False
-        assert ZFPCompressor().backend == "scalar"
-        assert ZFPCompressor(batched=True).batched is True
-        assert ZFPCompressor(batched=False).backend == "scalar"
