@@ -66,6 +66,7 @@ import random
 import socket
 import threading
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -124,7 +125,7 @@ def _reply_bytes(reply: dict[str, Any], body: bytes, segs: tuple) -> bytes:
 
 @dataclass(slots=True)
 class _Call:
-    """One logical request in flight; ``ctx`` is the trace it carries."""
+    """One logical request in flight; ``ctx`` is its caller's trace."""
 
     future: concurrent.futures.Future
     build: Build
@@ -160,12 +161,11 @@ class _Channel:
                 raise ServiceError("channel closed")
             self.next_id += 1
             rid = self.next_id
-            header = {**call.header, "id": rid}
-            if call.ctx is not None:
-                header[trace_context.TRACE_FIELD] = call.ctx.to_traceparent()
             self.pending[rid] = call
             try:
-                protocol.write_frame_sock(self.sock, header, call.payload)
+                protocol.write_frame_sock(
+                    self.sock, {**call.header, "id": rid}, call.payload
+                )
             except OSError as exc:
                 self.pending.pop(rid, None)
                 raise ServiceError(f"send failed: {exc}") from exc
@@ -187,7 +187,11 @@ class _Channel:
             except (OSError, ProtocolError) as exc:
                 self.fail(ServiceError(f"connection lost: {exc}"))
                 return
-            self.owner._dispatch(self, reply, body)
+            try:
+                self.owner._dispatch(self, reply, body)
+            except Exception as exc:  # malformed reply: fail, never hang
+                self.fail(ServiceError(f"bad reply: {exc}"))
+                return
 
     def fail(self, exc: Exception) -> None:
         """Kill the channel, failing every in-flight call with ``exc``."""
@@ -260,11 +264,8 @@ class _ClientCore:
             except OSError as exc:
                 attempt += 1
                 delay = backoff_delay(
-                    attempt,
-                    base_s=self.retry_base_s,
-                    cap_s=self.retry_max_s,
-                    jitter=(0.5, 1.0),
-                    rng=self._rng,
+                    attempt, base_s=self.retry_base_s, cap_s=self.retry_max_s,
+                    jitter=(0.5, 1.0), rng=self._rng,
                 )
                 if time.monotonic() + delay >= deadline:
                     raise ServiceError(
@@ -378,32 +379,35 @@ class _ClientCore:
             return  # late or duplicate reply — drop it
         status = reply.get("status")
         code = reply.get("code", "error")
+        try:
+            if status == "busy" and call.attempt < self.busy_retries:
+                call.attempt += 1
+                delay = backoff_delay(
+                    call.attempt - 1, base_s=self.retry_base_s,
+                    cap_s=self.retry_max_s, rng=self._rng,
+                    hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
+                )
+                threading.Thread(
+                    target=self._resend_after, args=(chan, call, delay, code),
+                    name="repro-client-retry", daemon=True,
+                ).start()
+                return
+            shm_refused = code in _SHM_ERROR_CODES and any(call.segs)
+        except Exception as exc:  # malformed reply: fail the call, re-raise
+            self._finish_call(call, error=ServiceError(f"bad reply: {exc}"))
+            raise
         if status == "ok":
             self._finish_call(call, reply, body)
         elif status == "busy":
-            call.attempt += 1
-            if call.attempt > self.busy_retries:
-                self._finish_call(call, error=ServiceBusyError(
-                    f"server still busy after {self.busy_retries} retries"
-                ))
-                return
-            delay = backoff_delay(
-                call.attempt - 1,
-                base_s=self.retry_base_s,
-                cap_s=self.retry_max_s,
-                hint_s=float(reply.get("retry_after_ms", 0)) / 1e3,
-                rng=self._rng,
-            )
-            threading.Thread(
-                target=self._resend_after, args=(chan, call, delay, code),
-                name="repro-client-retry", daemon=True,
-            ).start()
-        elif code in _SHM_ERROR_CODES and any(call.segs):
+            self._finish_call(call, error=ServiceBusyError(
+                f"server still busy after {self.busy_retries} retries"
+            ))
+        elif shm_refused:
             # This peer cannot attach our segments — go inline for good.
             self._shm_broken = True
             self._release_segs(call)
             try:
-                call.header, call.payload, call.segs = call.build(False)
+                self._build(call, False)
                 chan.send(call)
             except (ServiceError, ProtocolError) as exc:
                 self._finish_call(call, error=exc)
@@ -430,6 +434,13 @@ class _ClientCore:
 
     # -- submission ---------------------------------------------------------
 
+    @staticmethod
+    def _build(call: _Call, use_shm: bool) -> None:
+        """Fill in ``call``'s frame; a traced call's header carries it."""
+        header, call.payload, call.segs = call.build(use_shm)
+        with trace_context.use(call.ctx):
+            call.header = trace_context.inject(header) if call.ctx else header
+
     def _submit(self, nbytes: int, build: Build, finish: Finish,
                 ctx=None) -> concurrent.futures.Future:
         """Build one request for the next connection and send it."""
@@ -442,7 +453,7 @@ class _ClientCore:
                 and self._shm_wanted()
                 and protocol.CAP_SHM in chan.caps
             )
-            call.header, call.payload, call.segs = build(use_shm)
+            self._build(call, use_shm)
             chan.send(call)
         except Exception as exc:
             self._release_segs(call)
@@ -568,9 +579,9 @@ class ServiceClient(_ClientCore):
         tm = get_telemetry()
         if not tm.enabled and trace_context.current() is None:
             return run()
-        with trace_context.start_trace():
-            with tm.span(f"client.{op}", op=op, bytes=nbytes):
-                return run()
+        with trace_context.start_trace(), \
+                tm.span(f"client.{op}", op=op, bytes=nbytes):
+            return run()
 
     def _call(self, op: str, nbytes: int, build: Build,
               finish: Finish) -> Any:
@@ -584,8 +595,9 @@ class ServiceClient(_ClientCore):
         self, header: dict[str, Any], payload: bytes = b""
     ) -> tuple[dict[str, Any], bytes]:
         """One raw request; returns ``(reply, body)``, error replies raise."""
-        return self._traced(header.get("op"), len(payload),
-                            lambda: self._roundtrip(header, payload))
+        return self._traced(header.get("op"), len(payload), lambda: (
+            self._roundtrip(trace_context.inject(header), payload)
+        ))
 
     def _roundtrip(
         self, header: dict[str, Any], payload: bytes
@@ -681,8 +693,6 @@ class ServiceClient(_ClientCore):
         so the daemon-side state is torn down deterministically.
         """
         if session_id is None:
-            import uuid
-
             session_id = uuid.uuid4().hex
         header: dict[str, Any] = {
             "op": "session_open",
@@ -732,22 +742,18 @@ class ServiceClient(_ClientCore):
 
     def session_close(self, session_id: str) -> dict[str, Any]:
         """Tear down a session; returns its step/byte accounting."""
-        reply, _ = self._request(
+        return self._request(
             {"op": "session_close", protocol.SESSION_FIELD: session_id}
-        )
-        return reply
+        )[0]
 
     def list_compressors(self) -> list[str]:
-        reply, _ = self._request({"op": "list"})
-        return list(reply.get("compressors") or [])
+        return list(self._request({"op": "list"})[0].get("compressors") or [])
 
     def health(self) -> dict[str, Any]:
-        reply, _ = self._request({"op": "health"})
-        return reply
+        return self._request({"op": "health"})[0]
 
     def stats(self) -> dict[str, Any]:
-        reply, _ = self._request({"op": "stats"})
-        return reply
+        return self._request({"op": "stats"})[0]
 
     def metrics_text(self) -> str:
         """The daemon's metrics in Prometheus text exposition format.
@@ -756,8 +762,7 @@ class ServiceClient(_ClientCore):
         per-shard sample gains a ``shard="..."`` label and the router's
         own metrics appear under ``shard="router"``.
         """
-        _, body = self._request({"op": "metrics"})
-        return body.decode("utf-8")
+        return self._request({"op": "metrics"})[1].decode("utf-8")
 
     def cluster(self) -> dict[str, Any]:
         """Topology and membership of the cluster router this client dialed.
@@ -768,8 +773,7 @@ class ServiceClient(_ClientCore):
         carries per-shard membership state, probe/hedge counters, and
         ring ownership shares (see ``docs/CLUSTER.md``).
         """
-        reply, _ = self._request({"op": "cluster"})
-        return reply
+        return self._request({"op": "cluster"})[0]
 
 
 class ServiceSession:
@@ -829,10 +833,8 @@ class ServiceSession:
     def __exit__(self, *exc: Any) -> None:
         # Best-effort teardown: the daemon's idle eviction is the
         # backstop if the close cannot be delivered (dead shard, drain).
-        try:
+        with contextlib.suppress(ServiceError, OSError):
             self.close()
-        except (ServiceError, OSError):
-            pass
 
 
 class PooledClient(_ClientCore):

@@ -312,6 +312,55 @@ class TestBackpressure:
                 t.join(60)
 
 
+class TestMalformedReplies:
+    """A reply the client cannot parse fails the call; it never hangs."""
+
+    @pytest.mark.parametrize("bad", [
+        {"status": "busy", "retry_after_ms": "x"},
+        {"status": "error", "code": ["unhashable"]},
+        {"id": ["unhashable"], "status": "ok"},
+    ], ids=["retry_after_ms", "code", "id"])
+    def test_bad_reply_raises_service_error(self, bad):
+        server = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def stub():
+            # Answer HELLO, then send one malformed reply and stay open.
+            conn, _ = server.accept()
+            with conn:
+                header, _ = protocol.read_frame_sock(conn)
+                protocol.write_frame_sock(conn, {
+                    "id": header.get("id"), "status": "ok",
+                    protocol.CAPS_FIELD: [protocol.CAP_PIPELINE],
+                })
+                header, _ = protocol.read_frame_sock(conn)
+                protocol.write_frame_sock(conn, {"id": header["id"], **bad})
+                release.wait(30)
+
+        threading.Thread(target=stub, daemon=True).start()
+        outcome = []
+        client = ServiceClient(port=server.getsockname()[1], busy_retries=3)
+
+        def call():
+            try:
+                client.stats()
+            except Exception as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        try:
+            caller.start()
+            caller.join(5)
+            assert not caller.is_alive(), "client hung on a malformed reply"
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], ServiceError)
+            assert "bad reply" in str(outcome[0])
+        finally:
+            client.close()
+            release.set()
+            server.close()
+
+
 class TestDeadlines:
     def test_deadline_expires_in_queue(self):
         field = _field(6)
